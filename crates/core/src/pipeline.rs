@@ -5,7 +5,7 @@ use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::Session;
 use crate::sink::{NullViolationSink, ViolationSink};
 use home_dynamic::{detect, DetectorConfig};
-use home_interp::{run, run_with_sink, Instrumentation, RunConfig};
+use home_interp::{run, run_with_sink, Instrumentation, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::analyze;
 use home_trace::{HomeError, TraceSink};
@@ -149,6 +149,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Why a simulated run has no verdict to trust, if it has none: a
+/// scheduler error other than deadlock (a virtual thread that could not be
+/// started), or a rank that stopped on a runtime error. Such a seed fails.
+fn run_failure(result: &RunResult) -> Option<String> {
+    if let Some(e) = &result.sched_error {
+        return Some(e.to_string());
+    }
+    if result.runtime_errors.is_empty() {
+        return None;
+    }
+    let errors: Vec<String> = result
+        .runtime_errors
+        .iter()
+        .map(|(rank, e)| format!("runtime error: rank {rank}: {e}"))
+        .collect();
+    Some(errors.join("; "))
+}
+
 /// Run the full HOME check on `program`.
 ///
 /// ```
@@ -243,6 +261,9 @@ pub fn check_with_sink(
                     (result, races, outcome)
                 }
             };
+            if let Some(message) = run_failure(&result) {
+                return Err(HomeError::seed(seed, message));
+            }
             Ok(SeedData {
                 events_recorded: result.events_recorded,
                 deadlock: result.deadlock,

@@ -279,26 +279,21 @@ pub fn detect_with_stats(
         let chunk = ranks.len().div_ceil(jobs);
         std::thread::scope(|scope| {
             for (slot_chunk, rank_chunk) in slots.chunks_mut(chunk).zip(ranks.chunks(chunk)) {
-                scope.spawn(move || {
+                // A worker the OS refuses to start leaves its chunk empty.
+                let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
                     for (slot, &rank) in slot_chunk.iter_mut().zip(rank_chunk) {
                         *slot = Some(detect_rank(trace, rank, config));
                     }
                 });
             }
         });
-        // Every worker fills its whole chunk before the scope joins; an
-        // empty slot would mean a lost worker, reported as an error rather
-        // than a panic.
+        // Every started worker fills its whole chunk before the scope
+        // joins; the chunks of workers that never started are analyzed
+        // here instead.
         slots
             .into_iter()
             .zip(ranks)
-            .map(|(slot, &rank)| {
-                slot.unwrap_or_else(|| {
-                    Err(HomeError::corrupt_trace(format!(
-                        "detector worker produced no result for {rank}"
-                    )))
-                })
-            })
+            .map(|(slot, &rank)| slot.unwrap_or_else(|| detect_rank(trace, rank, config)))
             .collect()
     };
 

@@ -79,14 +79,18 @@ pub struct RunResult {
     pub mpi_errors: Vec<MpiIncident>,
     /// Rank-level runtime errors (undeclared variables etc.).
     pub runtime_errors: Vec<(u32, String)>,
+    /// A scheduler error other than deadlock that ended the run, such as
+    /// a virtual thread that could not be started.
+    pub sched_error: Option<SchedError>,
     /// Tool label.
     pub tool: String,
 }
 
 impl RunResult {
-    /// True when the run completed without deadlock or runtime errors.
+    /// True when the run completed without deadlock, runtime errors or a
+    /// scheduler error.
     pub fn clean(&self) -> bool {
-        self.deadlock.is_none() && self.runtime_errors.is_empty()
+        self.deadlock.is_none() && self.runtime_errors.is_empty() && self.sched_error.is_none()
     }
 }
 
@@ -1109,10 +1113,10 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
         });
     }
 
-    let sched_result = rt.run();
-    let deadlock = match sched_result {
-        Err(SchedError::Deadlock(d)) => Some(d),
-        _ => None,
+    let (deadlock, sched_error) = match rt.run() {
+        Ok(()) => (None, None),
+        Err(SchedError::Deadlock(d)) => (Some(d), None),
+        Err(e) => (None, Some(e)),
     };
 
     RunResult {
@@ -1126,6 +1130,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
         runtime_errors: Arc::try_unwrap(runtime_errors)
             .map(|m| m.into_inner())
             .unwrap_or_else(|arc| arc.lock().clone()),
+        sched_error,
         tool: cfg.instrumentation.name.clone(),
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::runtime::Runtime;
 use crate::vtid::Vtid;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
 /// Error returned by [`JoinHandle::join`].
@@ -27,6 +27,54 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
+/// Where a virtual thread's job leaves its result. The job marks the cell
+/// *ended* once it has let go of its runtime (its worker's current-thread
+/// context is cleared and its `Runtime` clone dropped), or when it is
+/// dropped without running because no worker could take it.
+pub(crate) struct JobCell<T> {
+    state: Mutex<CellState<T>>,
+    ended: Condvar,
+}
+
+struct CellState<T> {
+    result: Option<std::thread::Result<T>>,
+    ended: bool,
+}
+
+impl<T> JobCell<T> {
+    pub(crate) fn new() -> Self {
+        JobCell {
+            state: Mutex::new(CellState {
+                result: None,
+                ended: false,
+            }),
+            ended: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn put(&self, result: std::thread::Result<T>) {
+        self.state.lock().result = Some(result);
+    }
+
+    fn wait_ended(&self) {
+        let mut state = self.state.lock();
+        while !state.ended {
+            self.ended.wait(&mut state);
+        }
+    }
+}
+
+/// Ends its cell when dropped: at the close of the job that owns it, or
+/// with that job if the job never ran.
+pub(crate) struct EndOnDrop<T>(pub(crate) Arc<JobCell<T>>);
+
+impl<T> Drop for EndOnDrop<T> {
+    fn drop(&mut self) {
+        self.0.state.lock().ended = true;
+        self.0.ended.notify_all();
+    }
+}
+
 /// Handle to a spawned virtual thread.
 ///
 /// `join` is cooperative when called from another virtual thread (it blocks
@@ -35,24 +83,16 @@ impl std::error::Error for JoinError {}
 pub struct JoinHandle<T> {
     rt: Runtime,
     vtid: Vtid,
-    cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
-    os: Option<std::thread::JoinHandle<()>>,
+    cell: Arc<JobCell<T>>,
     name: String,
 }
 
 impl<T: Send + 'static> JoinHandle<T> {
-    pub(crate) fn new(
-        rt: Runtime,
-        vtid: Vtid,
-        cell: Arc<Mutex<Option<std::thread::Result<T>>>>,
-        os: std::thread::JoinHandle<()>,
-        name: String,
-    ) -> Self {
+    pub(crate) fn new(rt: Runtime, vtid: Vtid, cell: Arc<JobCell<T>>, name: String) -> Self {
         JoinHandle {
             rt,
             vtid,
             cell,
-            os: Some(os),
             name,
         }
     }
@@ -72,28 +112,21 @@ impl<T: Send + 'static> JoinHandle<T> {
         self.rt.is_finished(self.vtid)
     }
 
-    /// Wait for the thread to finish and return its result.
-    pub fn join(mut self) -> Result<T, JoinError> {
-        if let Err(e) = self.rt.join_wait(self.vtid) {
-            // Poisoned run: the thread may still produce a result while
-            // unwinding; give the OS thread a chance to exit, then check.
-            if let Some(os) = self.os.take() {
-                let _ = os.join();
-            }
-            if self.cell.lock().is_none() {
-                return Err(JoinError::Sched(e));
-            }
-        } else if crate::runtime::current_vtid().is_none() {
-            // Driver-side join: also reap the OS thread.
-            if let Some(os) = self.os.take() {
-                let _ = os.join();
-            }
+    /// Wait for the thread to finish and return its result. A driver-side
+    /// join also waits until the thread's job has let go of the runtime.
+    pub fn join(self) -> Result<T, JoinError> {
+        let waited = self.rt.join_wait(self.vtid);
+        // Poisoned run: the thread may still produce a result while
+        // unwinding, so wait for its job to end before looking.
+        if waited.is_err() || crate::runtime::current_vtid().is_none() {
+            self.cell.wait_ended();
         }
-        let result = self
-            .cell
-            .lock()
-            .take()
-            .expect("finished virtual thread must have stored its result");
+        let Some(result) = self.cell.state.lock().result.take() else {
+            // No result: the job never ran because no worker could take
+            // it, and the spawn poisoned the run.
+            let e = waited.err().or_else(|| self.rt.error());
+            return Err(JoinError::Sched(e.unwrap_or(crate::SchedError::Shutdown)));
+        };
         result.map_err(|payload| {
             let msg = payload
                 .downcast_ref::<&str>()

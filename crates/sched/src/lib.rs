@@ -2,8 +2,15 @@
 //!
 //! The substrate underneath the HOME checker's simulated MPI ranks and
 //! OpenMP threads. Every concurrent entity in the simulation (an MPI rank,
-//! an OpenMP worker inside a rank) is a *virtual thread*: an OS thread whose
-//! progress is gated by this scheduler.
+//! an OpenMP worker inside a rank) is a *virtual thread*: a job run by a
+//! worker of one process-wide pool of OS threads, whose progress is gated
+//! by this scheduler. A worker that finishes its job parks and takes the
+//! next spawn; the pool creates an OS thread only when no worker is idle
+//! ([`os_threads_spawned`] counts them), and a worker idle for two seconds
+//! exits. Because the OS thread is a pooled worker, a virtual thread's
+//! panic line on stderr names `home-sched-worker`, not the virtual
+//! thread's name (`rank3.r1.t1`); the [`JoinError::Panicked`] payload still
+//! carries the panic message.
 //!
 //! Two execution modes are supported:
 //!
@@ -53,6 +60,7 @@ mod config;
 mod deadlock;
 mod handle;
 mod policy;
+mod pool;
 mod runtime;
 mod semaphore;
 mod state;
@@ -63,7 +71,8 @@ pub use config::{SchedConfig, SchedMode, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 pub use deadlock::{BlockedThread, DeadlockInfo};
 pub use handle::{JoinError, JoinHandle};
 pub use policy::SchedPolicy;
-pub use runtime::{current_runtime, current_vtid, Runtime};
+pub use pool::os_threads_spawned;
+pub use runtime::{current_runtime, current_vtid, Runtime, WeakRuntime};
 pub use semaphore::SimSemaphore;
 pub use state::BlockReason;
 pub use vtid::Vtid;
@@ -75,6 +84,14 @@ pub enum SchedError {
     Deadlock(DeadlockInfo),
     /// The runtime was shut down while this thread was blocked.
     Shutdown,
+    /// No pooled worker could be found or created for a spawned virtual
+    /// thread; carries the thread's name and the OS error.
+    SpawnFailed {
+        /// Name given to the virtual thread at spawn.
+        name: String,
+        /// The OS error from creating a worker thread.
+        error: String,
+    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -82,6 +99,9 @@ impl std::fmt::Display for SchedError {
         match self {
             SchedError::Deadlock(info) => write!(f, "deadlock detected: {info}"),
             SchedError::Shutdown => write!(f, "runtime shut down"),
+            SchedError::SpawnFailed { name, error } => {
+                write!(f, "could not start virtual thread `{name}`: {error}")
+            }
         }
     }
 }

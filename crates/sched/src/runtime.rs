@@ -3,8 +3,9 @@
 use crate::clock::SimTime;
 use crate::config::{SchedConfig, SchedMode, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 use crate::deadlock::{BlockedThread, DeadlockInfo};
-use crate::handle::JoinHandle;
+use crate::handle::{EndOnDrop, JobCell, JoinHandle};
 use crate::policy::SchedPolicy;
+use crate::pool::{Release, POOL};
 use crate::state::{BlockReason, Inner, ThreadSlot, ThreadStatus};
 use crate::vtid::Vtid;
 use crate::{SchedError, SchedResult};
@@ -14,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 thread_local! {
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
@@ -82,7 +83,30 @@ pub struct Runtime {
     shared: Arc<RtShared>,
 }
 
+/// A reference to a runtime that does not keep it alive; see
+/// [`Runtime::downgrade`].
+#[derive(Clone)]
+pub struct WeakRuntime {
+    shared: Weak<RtShared>,
+}
+
+impl WeakRuntime {
+    /// The runtime, if any [`Runtime`] handle to it is still alive.
+    pub fn upgrade(&self) -> Option<Runtime> {
+        self.shared.upgrade().map(|shared| Runtime { shared })
+    }
+}
+
 impl Runtime {
+    /// A reference to this runtime that does not keep it alive. Once every
+    /// handle is dropped and every spawned thread joined from the driver,
+    /// [`WeakRuntime::upgrade`] returns `None`.
+    pub fn downgrade(&self) -> WeakRuntime {
+        WeakRuntime {
+            shared: Arc::downgrade(&self.shared),
+        }
+    }
+
     /// Create a runtime with the given configuration.
     pub fn new(config: SchedConfig) -> Runtime {
         let seed = config.seed;
@@ -128,71 +152,91 @@ impl Runtime {
 
     /// Spawn a virtual thread. In deterministic mode it does not start
     /// running until [`Runtime::run`] (or a scheduling decision) grants it.
+    ///
+    /// The thread runs on a worker of the process-wide pool. If no worker
+    /// is idle and the OS refuses a new thread, the run is poisoned with
+    /// [`SchedError::SpawnFailed`] and the thread never runs; its handle's
+    /// `join` returns that error.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let name = name.into();
-        let vtid;
-        let clock;
-        {
-            let mut inner = self.shared.mu.lock();
-            vtid = Vtid::from_index(inner.slots.len());
-            let mut slot = ThreadSlot::new(name.clone());
-            if !self.deterministic() {
-                slot.status = ThreadStatus::Running;
-            }
-            // Priority policy: a pinned thread takes its pin verbatim;
-            // everything else draws from the base range. Spawn order is
-            // deterministic in deterministic mode, so the draw sequence —
-            // and thus the whole priority assignment — is a function of
-            // the seed.
-            if let SchedPolicy::Priority { .. } = self.shared.config.policy {
-                slot.priority = match self
-                    .shared
-                    .config
-                    .priority_pins
-                    .iter()
-                    .find(|(pin, _)| *pin == name)
-                {
-                    Some((_, p)) => *p,
-                    None => {
-                        let mut rng = self.shared.rng.lock();
-                        rng.gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1)
-                    }
-                };
-            }
-            clock = Arc::clone(&slot.clock);
-            inner.slots.push(slot);
-            inner.live += 1;
+        let cell = Arc::new(JobCell::new());
+        let mut inner = self.shared.mu.lock();
+        let vtid = Vtid::from_index(inner.slots.len());
+        let mut slot = ThreadSlot::new(name.clone());
+        if !self.deterministic() {
+            slot.status = ThreadStatus::Running;
+        }
+        // Priority policy: a pinned thread takes its pin verbatim;
+        // everything else draws from the base range. Spawn order is
+        // deterministic in deterministic mode, so the draw sequence —
+        // and thus the whole priority assignment — is a function of
+        // the seed.
+        if let SchedPolicy::Priority { .. } = self.shared.config.policy {
+            slot.priority = match self
+                .shared
+                .config
+                .priority_pins
+                .iter()
+                .find(|(pin, _)| *pin == name)
+            {
+                Some((_, p)) => *p,
+                None => {
+                    let mut rng = self.shared.rng.lock();
+                    rng.gen_range(PRIORITY_BASE_MIN..PRIORITY_BASE_MAX + 1)
+                }
+            };
         }
 
-        let cell: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
-        let cell2 = Arc::clone(&cell);
-        let rt = self.clone();
+        let ctx = Ctx {
+            rt: self.clone(),
+            vtid,
+            clock: Arc::clone(&slot.clock),
+        };
+        let end = EndOnDrop(Arc::clone(&cell));
         let deterministic = self.deterministic();
-
-        let os = std::thread::Builder::new()
-            .name(name.clone())
-            .spawn(move || {
-                CURRENT.with(|c| {
-                    *c.borrow_mut() = Some(Ctx {
-                        rt: rt.clone(),
-                        vtid,
-                        clock,
-                    })
-                });
+        // The job cannot touch `inner` before this lock is released, so
+        // the slot is pushed only once a worker has taken the job.
+        let job = move |release: &Release| {
+            let rt = ctx.rt.clone();
+            CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
+            let result = catch_unwind(AssertUnwindSafe(|| {
                 if deterministic {
                     rt.wait_for_first_grant(vtid);
                 }
-                let result = catch_unwind(AssertUnwindSafe(f));
-                *cell2.lock() = Some(result);
-                rt.finish_current(vtid);
-            })
-            .expect("failed to spawn OS thread for virtual thread");
-
-        JoinHandle::new(self.clone(), vtid, cell, os, name)
+                f()
+            }));
+            end.0.put(result);
+            // Back on the idle stack before the next thread is granted, so
+            // that thread's spawns can reuse this worker.
+            release.now();
+            rt.finish_current(vtid);
+            CURRENT.with(|c| c.borrow_mut().take());
+            drop(rt);
+            drop(end);
+        };
+        match POOL.execute(job) {
+            Ok(()) => {
+                inner.slots.push(slot);
+                inner.live += 1;
+            }
+            Err(e) => {
+                // Never runnable, never live: the scheduler cannot grant
+                // a thread that does not exist.
+                slot.status = ThreadStatus::Finished;
+                inner.slots.push(slot);
+                let err = SchedError::SpawnFailed {
+                    name: name.clone(),
+                    error: e.to_string(),
+                };
+                self.poison_all(&mut inner, err);
+            }
+        }
+        drop(inner);
+        JoinHandle::new(self.clone(), vtid, cell, name)
     }
 
     fn wait_for_first_grant(&self, me: Vtid) {
@@ -935,6 +979,46 @@ mod tests {
         let order = priority_order(7, 0, pins);
         assert_eq!(&order[..5], &[2usize, 2, 2, 2, 2][..]);
         assert_eq!(&order[15..], &[0usize, 0, 0, 0, 0][..]);
+    }
+
+    #[test]
+    fn failed_worker_creation_poisons_the_run() {
+        use crate::JoinError;
+        // On a helper thread, so a hang fails the test instead of stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = Runtime::new(SchedConfig::deterministic(1));
+            let rt2 = rt.clone();
+            let started = rt.spawn("started", move || rt2.yield_now());
+            crate::pool::fail_next_execute();
+            let lost = rt.spawn("lost", || 1);
+            let run = rt.run();
+            let _ = tx.send((run, lost.join().err(), started.join().ok()));
+        });
+        let (run, lost, started) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run() hung after a failed spawn");
+        let want = SchedError::SpawnFailed {
+            name: "lost".into(),
+            error: "injected".into(),
+        };
+        assert_eq!(run, Err(want.clone()));
+        assert!(matches!(lost, Some(JoinError::Sched(e)) if e == want));
+        assert_eq!(started, Some(Err(want)));
+    }
+
+    #[test]
+    fn joined_runtime_is_released_by_its_workers() {
+        let rt = Runtime::new(SchedConfig::deterministic(2));
+        let weak = rt.downgrade();
+        let rt2 = rt.clone();
+        let ok = rt.spawn("ok", move || rt2.yield_now().is_ok());
+        let bad = rt.spawn("bad", || panic!("boom"));
+        rt.run().unwrap();
+        assert!(ok.join().unwrap());
+        assert!(bad.join().is_err());
+        drop(rt);
+        assert!(weak.upgrade().is_none(), "a worker still holds the runtime");
     }
 
     #[test]

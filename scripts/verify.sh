@@ -215,6 +215,21 @@ fi
     exit 1
 }
 
+# Large-configuration smoke: 512 ranks x 8 threads puts 4,096 virtual
+# threads on the pooled OS-thread backend. The check must finish clean
+# well inside the timeout; a hang in the pool or a failed spawn fails it.
+echo "==> large-configuration smoke (pipeline 512x8, 2 seeds, 60 s limit)"
+large_out="$(mktemp)"
+large_code=0
+timeout 60 ./target/release/home check programs/pipeline.hmp --procs 512 --threads 8 \
+    --seeds 1,2 > "$large_out" || large_code=$?
+if [ "$large_code" -ne 0 ] || ! grep -q "no thread-safety violations detected" "$large_out"; then
+    echo "large smoke: expected a clean verdict and exit 0, got exit $large_code" >&2
+    cat "$large_out" >&2
+    exit 1
+fi
+rm -f "$large_out"
+
 # Bench smoke: the throughput harness must build and complete one quick
 # pass (catches bit-rot in home-bench without paying for a full run; the
 # checked-in numbers live in BENCH_throughput.json).

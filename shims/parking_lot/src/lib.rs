@@ -22,7 +22,7 @@ pub struct Mutex<T: ?Sized> {
 
 impl<T> Mutex<T> {
     /// Create a mutex holding `value`.
-    pub fn new(value: T) -> Mutex<T> {
+    pub const fn new(value: T) -> Mutex<T> {
         Mutex {
             inner: std::sync::Mutex::new(value),
         }
@@ -108,8 +108,10 @@ pub struct Condvar {
 
 impl Condvar {
     /// Create a condition variable.
-    pub fn new() -> Condvar {
-        Condvar::default()
+    pub const fn new() -> Condvar {
+        Condvar {
+            inner: std::sync::Condvar::new(),
+        }
     }
 
     /// Block until notified, releasing the guard's mutex while waiting.
@@ -121,6 +123,17 @@ impl Condvar {
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(std_guard);
         let _ = guard.mutex; // keep the field used even if only wait() borrows it
+    }
+
+    /// [`Condvar::wait`], giving up after `timeout`. (parking_lot also
+    /// returns whether it timed out; no caller here reads that.)
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
+        let std_guard = guard.inner.take().expect("guard active");
+        let (std_guard, _) = self
+            .inner
+            .wait_timeout(std_guard, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(std_guard);
     }
 
     /// Wake one waiter.

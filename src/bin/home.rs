@@ -1144,6 +1144,9 @@ fn cmd_run(program: &Program, args: &[String]) -> ExitCode {
     for (r, e) in &result.runtime_errors {
         oprintln!("runtime error: rank {r}: {e}");
     }
+    if let Some(e) = &result.sched_error {
+        oprintln!("scheduler error: {e}");
+    }
     match flag_value(args, "--trace-out") {
         Ok(Some(path)) => match std::fs::write(path, result.trace.to_json()) {
             Ok(()) => oprintln!("trace written to {path}"),
@@ -1302,6 +1305,9 @@ fn cmd_record(program: &Program, args: &[String]) -> ExitCode {
             eprintln!(
                 "warning: seed {seed} deadlocked ({d}); replay cannot reproduce the deadlock verdict"
             );
+        }
+        if let Some(e) = &result.sched_error {
+            eprintln!("warning: seed {seed} did not run to completion ({e}); its trace is partial");
         }
     }
 

@@ -299,6 +299,36 @@ fn partial_report_is_byte_identical_across_jobs() {
 }
 
 #[test]
+fn runtime_error_fails_the_seed_instead_of_passing_silently() {
+    // Rank 1 stops on an unknown call before its receive, so rank 0 also
+    // deadlocks in MPI_Finalize. The seed has no verdict to trust.
+    let path = tmp_dir("runtime_error").join("bad_call.hmp");
+    std::fs::write(
+        &path,
+        r#"
+        program bad_call {
+            mpi_init_thread(multiple);
+            if (rank == 1) { call nosuch(); }
+            omp parallel num_threads(2) {
+                if (rank == 0) { mpi_send(to: 1, tag: 0, count: 1); }
+                if (rank == 1) { mpi_recv(from: 0, tag: 0); }
+            }
+            mpi_finalize();
+        }
+        "#,
+    )
+    .unwrap();
+    let (stdout, _, code) = home_cli(&["check", path.to_str().unwrap(), "--seeds", "1,2"]);
+    assert_eq!(code, Some(3), "{stdout}");
+    assert!(stdout.contains("seeds: 0 ok, 2 failed"), "{stdout}");
+    assert!(
+        stdout
+            .contains("seed 1: FAILED (runtime error: rank 1: call to unknown function `nosuch`)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn invalid_fail_seed_exits_2() {
     let (_, stderr, code) = home_cli(&["check", "programs/figure1.hmp", "--fail-seed", "one"]);
     assert_eq!(code, Some(2));
