@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long an idle worker stays parked before its OS thread exits.
-pub(crate) const KEEP_ALIVE: Duration = Duration::from_secs(2);
+const KEEP_ALIVE: Duration = Duration::from_secs(2);
 
 /// The pool every runtime spawns on.
 pub(crate) static POOL: Pool = Pool::new(KEEP_ALIVE);
@@ -74,7 +74,7 @@ pub(crate) fn fail_next_execute() {
 }
 
 impl Pool {
-    pub(crate) const fn new(keep_alive: Duration) -> Pool {
+    const fn new(keep_alive: Duration) -> Pool {
         Pool {
             idle: Mutex::new(VecDeque::new()),
             keep_alive,
