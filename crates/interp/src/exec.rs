@@ -82,6 +82,8 @@ pub struct RunResult {
     /// A scheduler error other than deadlock that ended the run, such as
     /// a virtual thread that could not be started.
     pub sched_error: Option<SchedError>,
+    /// Scheduling decisions the run took ([`Runtime::steps`]).
+    pub sched_steps: u64,
     /// Tool label.
     pub tool: String,
 }
@@ -1131,6 +1133,7 @@ pub fn run_with_sink(program: &Program, cfg: &RunConfig, sink: Arc<dyn TraceSink
             .map(|m| m.into_inner())
             .unwrap_or_else(|arc| arc.lock().clone()),
         sched_error,
+        sched_steps: rt.steps(),
         tool: cfg.instrumentation.name.clone(),
     }
 }
