@@ -1,10 +1,12 @@
-//! `throughput` — events/sec measurements for the detection hot path.
+//! `throughput` — events/sec measurements for the detection hot path, and
+//! steps/sec for the scheduler handoff under it.
 //!
 //! Measures the detector inner loops (batch and streaming) and the trace
 //! decode paths (JSON, buffered HBT, mmap HBT) over traces recorded from
-//! the bundled programs plus a synthetic wide-region stress corpus, and
-//! prints one JSON document so `BENCH_throughput.json` and the
-//! EXPERIMENTS.md table can be regenerated:
+//! the bundled programs plus a synthetic wide-region stress corpus, then
+//! the deterministic scheduler's handoff rate at 64, 512 and 4,096 virtual
+//! threads, and prints one JSON document so `BENCH_throughput.json` and the
+//! EXPERIMENTS.md tables can be regenerated:
 //!
 //! ```text
 //! cargo run --release -p home-bench --bin throughput            # full run
@@ -14,6 +16,7 @@
 use home_dynamic::{detect, DetectorConfig};
 use home_interp::{run, Instrumentation, RunConfig};
 use home_ir::parse;
+use home_sched::{Runtime, SchedConfig};
 use home_static::analyze;
 use home_stream::{decode_sections, detect_stream, detect_stream_batched, encode_trace, HbtWriter};
 use home_trace::{AccessKind, Event, EventKind, LockId, MemLoc, Rank, RegionId, Tid, Trace, VarId};
@@ -167,6 +170,32 @@ fn measure(events: usize, min_iters: u32, min_secs: f64, mut f: impl FnMut() -> 
     (events as f64 * f64::from(iters)) / secs
 }
 
+/// Scheduler steps per second when `threads` virtual threads each yield
+/// `yields` times under the seeded random policy: every step is one
+/// handoff. One fresh runtime per repeat; only `run()` is timed, not the
+/// spawns before it.
+fn handoff_rates(threads: usize, yields: usize, repeats: u64) -> (u64, Vec<f64>) {
+    let mut steps = 0;
+    let rates = (0..repeats)
+        .map(|seed| {
+            let rt = Runtime::new(SchedConfig::deterministic(seed));
+            for i in 0..threads {
+                let rt2 = rt.clone();
+                rt.spawn(format!("y{i}"), move || {
+                    for _ in 0..yields {
+                        let _ = rt2.yield_now();
+                    }
+                });
+            }
+            let start = Instant::now();
+            rt.run().expect("threads that only yield cannot deadlock");
+            steps = rt.steps();
+            steps as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    (steps, rates)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -291,6 +320,32 @@ fn main() {
         println!("      \"replay_e2e\": {replay_e2e:.0},");
         println!("      \"bytes_per_event_v1\": {bpe_v1:.2},");
         println!("      \"bytes_per_event_v2\": {bpe_v2:.2}");
+        println!("    }}{comma}");
+    }
+    println!("  ],");
+
+    // About 16K handoffs per run at every size, so the sizes differ in
+    // how many threads take part, not in how long a run lasts.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let repeats = if quick { 3 } else { 7 };
+    println!("  \"nproc\": {nproc},");
+    println!("  \"sched_handoff\": [");
+    for (i, threads) in [64usize, 512, 4096].into_iter().enumerate() {
+        let yields = (16_384 / threads).max(4);
+        let (steps, mut rates) = handoff_rates(threads, yields, repeats);
+        rates.sort_by(f64::total_cmp);
+        let (min, median, max) = (rates[0], rates[rates.len() / 2], rates[rates.len() - 1]);
+        eprintln!(
+            "sched_handoff {threads} vthreads: {steps} steps | steps/s median {median:.0} (min {min:.0}, max {max:.0}) over {repeats} runs, nproc {nproc}",
+        );
+        let comma = if i < 2 { "," } else { "" };
+        println!("    {{");
+        println!("      \"virtual_threads\": {threads},");
+        println!("      \"steps\": {steps},");
+        println!("      \"repeats\": {repeats},");
+        println!("      \"steps_per_s_median\": {median:.0},");
+        println!("      \"steps_per_s_min\": {min:.0},");
+        println!("      \"steps_per_s_max\": {max:.0}");
         println!("    }}{comma}");
     }
     println!("  ],");

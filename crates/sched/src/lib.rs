@@ -24,6 +24,11 @@
 //!   schedule-dependent behaviour such as races that only manifest under
 //!   some interleavings.
 //!
+//! A deterministic step hands the token straight to the chosen thread: the
+//! yielder opens its gate under the runtime's mutex, unparks its worker
+//! once the mutex is released, and parks until its own gate opens. The
+//! woken thread takes its gate without the mutex: one wake, one park.
+//!
 //! The scheduler also maintains a **virtual clock** per thread (nanosecond
 //! resolution). Simulated compute charges time with [`Runtime::advance_ns`],
 //! message deliveries propagate clocks across threads, and the maximum

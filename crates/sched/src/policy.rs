@@ -33,9 +33,9 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Choose the next thread among `runnable` (non-empty), given each
-    /// thread's current virtual clock, priority, and the id of the last
-    /// thread that ran.
+    /// Choose the next thread among `runnable` (non-empty, in id order),
+    /// given each thread's current virtual clock, priority, and the id of
+    /// the last thread that ran.
     pub(crate) fn choose(
         self,
         runnable: &[Vtid],
@@ -47,29 +47,11 @@ impl SchedPolicy {
         debug_assert!(!runnable.is_empty());
         match self {
             SchedPolicy::Random => runnable[rng.gen_range(0..runnable.len())],
-            SchedPolicy::Priority { .. } => {
-                // Highest priority wins; ties break toward the smaller
-                // thread id so the schedule is a total function of the
-                // priority assignment.
-                let mut best = runnable[0];
-                let mut best_prio = priority_of(best);
-                for &v in &runnable[1..] {
-                    let p = priority_of(v);
-                    if p > best_prio || (p == best_prio && v < best) {
-                        best = v;
-                        best_prio = p;
-                    }
-                }
-                best
-            }
+            SchedPolicy::Priority { .. } => highest_priority(runnable, priority_of),
             SchedPolicy::RoundRobin => {
                 // Smallest id strictly greater than `last`, wrapping.
-                let mut sorted: Vec<Vtid> = runnable.to_vec();
-                sorted.sort_unstable();
-                match last {
-                    Some(l) => sorted.iter().copied().find(|&v| v > l).unwrap_or(sorted[0]),
-                    None => sorted[0],
-                }
+                let after = last.map_or(0, |l| runnable.partition_point(|&v| v <= l));
+                runnable.get(after).copied().unwrap_or(runnable[0])
             }
             SchedPolicy::EarliestClockFirst => {
                 let mut best = runnable[0];
@@ -85,6 +67,23 @@ impl SchedPolicy {
             }
         }
     }
+}
+
+/// The thread the priority policy picks from `runnable` (non-empty):
+/// highest priority, ties toward the smaller thread id so the schedule is a
+/// total function of the priority assignment. PCT's change points demote
+/// exactly this thread.
+pub(crate) fn highest_priority(runnable: &[Vtid], priority_of: impl Fn(Vtid) -> i64) -> Vtid {
+    let mut best = runnable[0];
+    let mut best_prio = priority_of(best);
+    for &v in &runnable[1..] {
+        let p = priority_of(v);
+        if p > best_prio || (p == best_prio && v < best) {
+            best = v;
+            best_prio = p;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

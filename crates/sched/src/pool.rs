@@ -13,6 +13,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// How long an idle worker stays parked before its OS thread exits.
@@ -36,10 +37,11 @@ pub(crate) struct Pool {
 }
 
 /// Where a parked worker receives its next job.
-#[derive(Default)]
 struct Mailbox {
     job: Mutex<Option<Job>>,
     cv: Condvar,
+    /// The worker itself, returned by the `execute` that picks it.
+    thread: Thread,
 }
 
 /// Handed to every job: lets it put its worker back on the idle stack
@@ -83,11 +85,12 @@ impl Pool {
     }
 
     /// Run `job` on an idle worker, or on a new OS thread when none is
-    /// idle. On error the job has been dropped without running.
+    /// idle, and return that worker's handle. On error the job has been
+    /// dropped without running.
     pub(crate) fn execute(
         &'static self,
         job: impl FnOnce(&Release) + Send + 'static,
-    ) -> io::Result<()> {
+    ) -> io::Result<Thread> {
         let job: Job = Box::new(job);
         #[cfg(test)]
         if FAIL_NEXT.with(|f| f.replace(false)) {
@@ -97,20 +100,24 @@ impl Pool {
         if let Some(mailbox) = parked {
             *mailbox.job.lock() = Some(job);
             mailbox.cv.notify_one();
-            return Ok(());
+            return Ok(mailbox.thread.clone());
         }
-        std::thread::Builder::new()
+        let worker = std::thread::Builder::new()
             .name("home-sched-worker".into())
             .spawn(move || self.work(job))?;
         self.spawned.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(worker.thread().clone())
     }
 
     /// A worker's life: run jobs until none arrives within the keep-alive.
     fn work(&'static self, first: Job) {
         let release = Release {
             pool: self,
-            mailbox: Arc::default(),
+            mailbox: Arc::new(Mailbox {
+                job: Mutex::new(None),
+                cv: Condvar::new(),
+                thread: std::thread::current(),
+            }),
             done: Cell::new(false),
         };
         let mut job = first;
@@ -184,8 +191,11 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for _ in 0..3 {
             let tx = tx.clone();
-            pool.execute(move |_| tx.send(()).unwrap()).unwrap();
-            rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            let worker = pool
+                .execute(move |_| tx.send(std::thread::current().id()).unwrap())
+                .unwrap();
+            let ran_on = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(ran_on, worker.id(), "execute returned another worker");
             wait_until("the worker is idle again", || pool.idle_workers() == 1);
         }
         assert_eq!(pool.spawned.load(Ordering::Relaxed), 1);

@@ -4,7 +4,7 @@ use crate::clock::SimTime;
 use crate::config::{SchedConfig, SchedMode, PRIORITY_BASE_MAX, PRIORITY_BASE_MIN};
 use crate::deadlock::{BlockedThread, DeadlockInfo};
 use crate::handle::{EndOnDrop, JobCell, JoinHandle};
-use crate::policy::SchedPolicy;
+use crate::policy::{highest_priority, SchedPolicy};
 use crate::pool::{Release, POOL};
 use crate::state::{BlockReason, Inner, ThreadSlot, ThreadStatus};
 use crate::vtid::Vtid;
@@ -38,31 +38,15 @@ pub fn current_runtime() -> Option<Runtime> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| ctx.rt.clone()))
 }
 
-/// PCT bookkeeping for [`SchedPolicy::Priority`]: which scheduling
-/// decisions are priority-change points, how many decisions have been
-/// taken, and the next (descending, non-positive) demotion priority.
-#[derive(Default)]
-struct PctState {
-    /// Sorted decision indices (1-based) at which the would-be winner is
-    /// demoted below every other thread. Drawn from the seed at
-    /// [`Runtime::new`], so `(seed, depth)` fully names the schedule.
-    change_points: Vec<u64>,
-    /// Scheduling decisions taken under the priority policy.
-    decisions: u64,
-    /// Priority assigned by the most recent demotion; each demotion takes
-    /// the next lower value, so later demotions rank below earlier ones
-    /// (PCT's ordering) and all demotions rank below unpinned draws.
-    next_demotion: i64,
-}
-
 struct RtShared {
     config: SchedConfig,
     mu: Mutex<Inner>,
     /// RNG for the random policy. Only ever locked while `mu` is held.
     rng: Mutex<ChaCha8Rng>,
-    /// Priority-change-point state ([`SchedPolicy::Priority`] only).
-    /// Only ever locked while `mu` is held.
-    pct: Mutex<PctState>,
+    /// [`SchedPolicy::Priority`] only: the sorted, distinct steps (1-based)
+    /// that are PCT priority-change points. Drawn from the seed at
+    /// [`Runtime::new`], so `(seed, depth)` fully names the schedule.
+    change_points: Vec<u64>,
     /// Signalled on every thread finish (drives `run` and driver-side joins).
     driver_cv: Condvar,
     /// Global maximum over all per-thread virtual clocks, ever.
@@ -113,26 +97,20 @@ impl Runtime {
         // Priority policy: draw the d change points up front from a stream
         // derived from (but independent of) the decision RNG, so the same
         // (seed, depth) always names the same schedule.
-        let pct = if let SchedPolicy::Priority { depth } = config.policy {
+        let mut change_points = Vec::new();
+        if let SchedPolicy::Priority { depth } = config.policy {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
             let horizon = config.pct_horizon.max(1);
-            let mut change_points: Vec<u64> =
-                (0..depth).map(|_| rng.gen_range(0..horizon) + 1).collect();
+            change_points = (0..depth).map(|_| rng.gen_range(0..horizon) + 1).collect();
             change_points.sort_unstable();
             change_points.dedup();
-            PctState {
-                change_points,
-                ..PctState::default()
-            }
-        } else {
-            PctState::default()
-        };
+        }
         Runtime {
             shared: Arc::new(RtShared {
                 config,
-                mu: Mutex::new(Inner::new()),
+                mu: Mutex::new(Inner::default()),
                 rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
-                pct: Mutex::new(pct),
+                change_points,
                 driver_cv: Condvar::new(),
                 makespan: AtomicU64::new(0),
                 poisoned: AtomicBool::new(false),
@@ -167,9 +145,6 @@ impl Runtime {
         let mut inner = self.shared.mu.lock();
         let vtid = Vtid::from_index(inner.slots.len());
         let mut slot = ThreadSlot::new(name.clone());
-        if !self.deterministic() {
-            slot.status = ThreadStatus::Running;
-        }
         // Priority policy: a pinned thread takes its pin verbatim;
         // everything else draws from the base range. Spawn order is
         // deterministic in deterministic mode, so the draw sequence —
@@ -198,14 +173,17 @@ impl Runtime {
         };
         let end = EndOnDrop(Arc::clone(&cell));
         let deterministic = self.deterministic();
+        let gate = Arc::clone(&slot.gate);
         // The job cannot touch `inner` before this lock is released, so
         // the slot is pushed only once a worker has taken the job.
         let job = move |release: &Release| {
             let rt = ctx.rt.clone();
             CURRENT.with(|c| *c.borrow_mut() = Some(ctx));
             let result = catch_unwind(AssertUnwindSafe(|| {
+                // A poisoned run lets the body start ungated; its first
+                // scheduler call returns the error.
                 if deterministic {
-                    rt.wait_for_first_grant(vtid);
+                    let _ = rt.wait_for_grant(&gate);
                 }
                 f()
             }));
@@ -219,15 +197,19 @@ impl Runtime {
             drop(end);
         };
         match POOL.execute(job) {
-            Ok(()) => {
-                inner.slots.push(slot);
-                inner.live += 1;
+            Ok(worker) => {
+                slot.worker = Some(worker);
+                let status = if deterministic {
+                    ThreadStatus::Runnable
+                } else {
+                    ThreadStatus::Running
+                };
+                inner.push(slot, status);
             }
             Err(e) => {
                 // Never runnable, never live: the scheduler cannot grant
                 // a thread that does not exist.
-                slot.status = ThreadStatus::Finished;
-                inner.slots.push(slot);
+                inner.push(slot, ThreadStatus::Finished);
                 let err = SchedError::SpawnFailed {
                     name: name.clone(),
                     error: e.to_string(),
@@ -239,30 +221,18 @@ impl Runtime {
         JoinHandle::new(self.clone(), vtid, cell, name)
     }
 
-    fn wait_for_first_grant(&self, me: Vtid) {
-        let mut inner = self.shared.mu.lock();
-        loop {
-            if inner.poison.is_some() || inner.slot(me).granted {
-                break;
-            }
-            let cv = Arc::clone(&inner.slot(me).cv);
-            cv.wait(&mut inner);
-        }
-        let slot = inner.slot_mut(me);
-        slot.granted = false;
-        slot.status = ThreadStatus::Running;
-    }
-
     /// Start scheduling (deterministic mode) and wait until every virtual
     /// thread has finished. Returns the poison error if the run deadlocked
     /// or was aborted.
     pub fn run(&self) -> SchedResult<()> {
         self.shared.started.store(true, Ordering::SeqCst);
-        let mut inner = self.shared.mu.lock();
         if self.deterministic() {
+            let mut inner = self.shared.mu.lock();
             self.kick(&mut inner);
+            self.unlock(inner);
         }
-        while inner.live > 0 {
+        let mut inner = self.shared.mu.lock();
+        while inner.live() > 0 {
             self.shared.driver_cv.wait(&mut inner);
         }
         match &inner.poison {
@@ -278,7 +248,7 @@ impl Runtime {
 
     /// Number of virtual threads that have not yet finished.
     pub fn live_threads(&self) -> usize {
-        self.shared.mu.lock().live
+        self.shared.mu.lock().live()
     }
 
     /// Total virtual threads ever spawned.
@@ -313,19 +283,14 @@ impl Runtime {
         if let Some(p) = &inner.poison {
             return Err(p.clone());
         }
-        inner.slot_mut(me).status = ThreadStatus::Runnable;
-        let chosen = self.choose(&mut inner);
+        inner.set_status(me, ThreadStatus::Runnable);
+        let next = self
+            .choose(&mut inner)
+            .expect("the yielding thread is runnable");
         self.count_step(&mut inner)?;
-        if chosen == Some(me) {
-            let slot = inner.slot_mut(me);
-            slot.status = ThreadStatus::Running;
-            inner.last_granted = Some(me);
-            return Ok(());
-        }
-        if let Some(next) = chosen {
-            self.grant(&mut inner, next);
-        }
-        self.wait_for_grant(inner, me)
+        // A grant to `me` leaves its gate open, so the wait returns at once.
+        self.grant(&mut inner, next);
+        self.hand_off(inner, me)
     }
 
     /// Block the calling virtual thread until another thread calls
@@ -343,35 +308,24 @@ impl Runtime {
             drop(inner);
             return self.yield_now();
         }
-        inner.slot_mut(me).status = ThreadStatus::Blocked(reason);
+        inner.set_status(me, ThreadStatus::Blocked(reason));
         if self.deterministic() {
-            match self.choose(&mut inner) {
-                Some(next) => {
-                    self.count_step(&mut inner)?;
-                    self.grant(&mut inner, next);
-                }
-                None => {
-                    if inner.live > 0 && inner.running_count() == 0 {
-                        self.declare_deadlock(&mut inner);
-                        return Err(inner.poison.clone().expect("poison just set"));
-                    }
-                }
+            self.schedule(&mut inner)?;
+            return self.hand_off(inner, me);
+        }
+        // Free mode: park until an `unblock` credits a wake token.
+        loop {
+            if let Some(p) = &inner.poison {
+                return Err(p.clone());
             }
-            self.wait_for_grant(inner, me)
-        } else {
-            // Free mode: park on our condvar until a wake token arrives.
-            loop {
-                if let Some(p) = &inner.poison {
-                    return Err(p.clone());
-                }
-                if inner.slot(me).wake_tokens > 0 {
-                    inner.slot_mut(me).wake_tokens -= 1;
-                    inner.slot_mut(me).status = ThreadStatus::Running;
-                    return Ok(());
-                }
-                let cv = Arc::clone(&inner.slot(me).cv);
-                cv.wait(&mut inner);
+            if inner.slot(me).wake_tokens > 0 {
+                inner.slot_mut(me).wake_tokens -= 1;
+                inner.set_status(me, ThreadStatus::Running);
+                return Ok(());
             }
+            drop(inner);
+            std::thread::park();
+            inner = self.shared.mu.lock();
         }
     }
 
@@ -381,26 +335,26 @@ impl Runtime {
         let mut inner = self.shared.mu.lock();
         self.unblock_locked(&mut inner, vtid);
         // If nothing is running (e.g. unblock from the driver), kick.
-        if self.deterministic()
-            && self.shared.started.load(Ordering::SeqCst)
-            && inner.running_count() == 0
-        {
+        if self.deterministic() && self.shared.started.load(Ordering::SeqCst) {
             self.kick(&mut inner);
         }
+        self.unlock(inner);
     }
 
     fn unblock_locked(&self, inner: &mut Inner, vtid: Vtid) {
         let deterministic = self.deterministic();
-        let slot = inner.slot_mut(vtid);
-        match &slot.status {
+        match inner.slot(vtid).status() {
             ThreadStatus::Blocked(_) if deterministic => {
-                slot.status = ThreadStatus::Runnable;
+                inner.set_status(vtid, ThreadStatus::Runnable);
             }
             ThreadStatus::Finished => {}
             _ => {
+                let slot = inner.slot_mut(vtid);
                 slot.wake_tokens += 1;
-                if !deterministic {
-                    slot.cv.notify_all();
+                // Free mode grants nothing, so there is no handoff to
+                // defer: the sleeper rechecks its tokens under the lock.
+                if let Some(worker) = slot.worker.as_ref().filter(|_| !deterministic) {
+                    worker.unpark();
                 }
             }
         }
@@ -408,32 +362,16 @@ impl Runtime {
 
     fn finish_current(&self, me: Vtid) {
         let mut inner = self.shared.mu.lock();
-        // Fold our final clock into the makespan.
-        let final_clock = inner.slot(me).clock.load(Ordering::Relaxed);
-        self.shared
-            .makespan
-            .fetch_max(final_clock, Ordering::Relaxed);
-        inner.slot_mut(me).status = ThreadStatus::Finished;
-        inner.live -= 1;
+        inner.set_status(me, ThreadStatus::Finished);
         let waiters = std::mem::take(&mut inner.slot_mut(me).join_waiters);
         for w in waiters {
             self.unblock_locked(&mut inner, w);
         }
         self.shared.driver_cv.notify_all();
-        if self.deterministic() && inner.live > 0 {
-            match self.choose(&mut inner) {
-                Some(next) => {
-                    if self.count_step(&mut inner).is_ok() {
-                        self.grant(&mut inner, next);
-                    }
-                }
-                None => {
-                    if inner.running_count() == 0 {
-                        self.declare_deadlock(&mut inner);
-                    }
-                }
-            }
+        if self.deterministic() && inner.live() > 0 && inner.poison.is_none() {
+            let _ = self.schedule(&mut inner);
         }
+        self.unlock(inner);
     }
 
     /// Cooperatively wait for `target` to finish. Used by [`JoinHandle`].
@@ -441,7 +379,7 @@ impl Runtime {
         if let Some(me) = current_vtid() {
             loop {
                 let mut inner = self.shared.mu.lock();
-                if inner.slot(target).status == ThreadStatus::Finished {
+                if inner.slot(target).status() == &ThreadStatus::Finished {
                     return Ok(());
                 }
                 if let Some(p) = &inner.poison {
@@ -455,10 +393,10 @@ impl Runtime {
         } else {
             let mut inner = self.shared.mu.lock();
             loop {
-                if inner.slot(target).status == ThreadStatus::Finished {
+                if inner.slot(target).status() == &ThreadStatus::Finished {
                     return Ok(());
                 }
-                if inner.poison.is_some() && inner.live == 0 {
+                if inner.poison.is_some() && inner.live() == 0 {
                     return Err(inner.poison.clone().unwrap());
                 }
                 self.shared.driver_cv.wait(&mut inner);
@@ -467,35 +405,28 @@ impl Runtime {
     }
 
     pub(crate) fn is_finished(&self, target: Vtid) -> bool {
-        self.shared.mu.lock().slot(target).status == ThreadStatus::Finished
+        self.shared.mu.lock().slot(target).status() == &ThreadStatus::Finished
     }
 
     // ---- internal scheduling helpers -------------------------------------
 
     fn choose(&self, inner: &mut Inner) -> Option<Vtid> {
-        let runnable = inner.runnable();
-        if runnable.is_empty() {
+        if inner.runnable().is_empty() {
             return None;
         }
-        if let SchedPolicy::Priority { .. } = self.shared.config.policy {
-            // PCT change point: when this decision's index was drawn at
-            // construction, the thread that would win is demoted below
-            // every other thread (and below all earlier demotions), handing
-            // the step — and all subsequent ones until the next change
-            // point — to the runner-up.
-            let mut pct = self.shared.pct.lock();
-            pct.decisions += 1;
-            if pct.change_points.binary_search(&pct.decisions).is_ok() {
-                let top = Self::top_priority(inner, &runnable);
-                pct.next_demotion -= 1;
-                let demoted = pct.next_demotion;
-                inner.slot_mut(top).priority = demoted;
-            }
+        // PCT change point: when the step about to be taken was drawn at
+        // construction, the thread that would win is demoted below every
+        // other thread. The k-th demotion takes priority -k, so it also
+        // ranks below all earlier ones. The step, and every later one until
+        // the next change point, goes to the runner-up.
+        if let Ok(k) = self.shared.change_points.binary_search(&(inner.steps + 1)) {
+            let top = highest_priority(inner.runnable(), |v| inner.slot(v).priority);
+            inner.slot_mut(top).priority = -(k as i64) - 1;
         }
         let inner: &Inner = inner;
         let mut rng = self.shared.rng.lock();
         Some(self.shared.config.policy.choose(
-            &runnable,
+            inner.runnable(),
             |v| inner.slot(v).clock_now(),
             |v| inner.slot(v).priority,
             inner.last_granted,
@@ -503,40 +434,50 @@ impl Runtime {
         ))
     }
 
-    /// The thread the priority policy would pick: maximum priority, ties
-    /// toward the smaller id. Mirrors the policy's own arm so change-point
-    /// demotion targets exactly the would-be winner.
-    fn top_priority(inner: &Inner, runnable: &[Vtid]) -> Vtid {
-        let mut best = runnable[0];
-        let mut best_prio = inner.slot(best).priority;
-        for &v in &runnable[1..] {
-            let p = inner.slot(v).priority;
-            if p > best_prio || (p == best_prio && v < best) {
-                best = v;
-                best_prio = p;
+    /// Grant the next runnable thread, or declare a deadlock when no thread
+    /// is runnable, none is running and some are blocked.
+    fn schedule(&self, inner: &mut Inner) -> SchedResult<()> {
+        match self.choose(inner) {
+            Some(next) => {
+                self.count_step(inner)?;
+                self.grant(inner, next);
             }
+            None if inner.running() == 0 && inner.blocked() > 0 => {
+                self.declare_deadlock(inner);
+                return Err(inner.poison.clone().expect("poison just set"));
+            }
+            None => {}
         }
-        best
+        Ok(())
     }
 
+    /// Give `next` the execution token and open its gate. Its worker is
+    /// unparked by [`Runtime::unlock`], once the mutex is free.
     fn grant(&self, inner: &mut Inner, next: Vtid) {
         inner.last_granted = Some(next);
-        let slot = inner.slot_mut(next);
-        slot.granted = true;
-        slot.status = ThreadStatus::Running;
-        slot.cv.notify_all();
+        inner.set_status(next, ThreadStatus::Running);
+        debug_assert!(inner.running() <= 1, "two threads hold the token");
+        let slot = inner.slot(next);
+        // Pairs with the grantee's `Acquire` swap: it sees all its granter
+        // wrote before the step.
+        slot.gate.store(true, Ordering::Release);
+        inner.wake = slot.worker.clone();
+    }
+
+    /// Release the mutex, then wake the worker a grant chose. Waking after
+    /// unlocking keeps the grantee from blocking at once on the mutex its
+    /// waker still holds.
+    fn unlock(&self, mut inner: MutexGuard<'_, Inner>) {
+        let wake = inner.wake.take();
+        drop(inner);
+        if let Some(worker) = wake {
+            worker.unpark();
+        }
     }
 
     fn kick(&self, inner: &mut Inner) {
-        if inner.running_count() > 0 {
-            return;
-        }
-        if let Some(next) = self.choose(inner) {
-            if self.count_step(inner).is_ok() {
-                self.grant(inner, next);
-            }
-        } else if inner.live > 0 && !inner.blocked().is_empty() {
-            self.declare_deadlock(inner);
+        if inner.running() == 0 && inner.poison.is_none() {
+            let _ = self.schedule(inner);
         }
     }
 
@@ -551,37 +492,38 @@ impl Runtime {
         Ok(())
     }
 
-    fn wait_for_grant(&self, mut inner: MutexGuard<'_, Inner>, me: Vtid) -> SchedResult<()> {
+    /// Release the mutex (waking the grantee, if any) and wait for the
+    /// calling thread `me`'s own next grant.
+    fn hand_off(&self, inner: MutexGuard<'_, Inner>, me: Vtid) -> SchedResult<()> {
+        let gate = Arc::clone(&inner.slot(me).gate);
+        self.unlock(inner);
+        self.wait_for_grant(&gate)
+    }
+
+    /// Park until a grant opens `gate` or the run is poisoned. Called only
+    /// by the thread `gate` belongs to, on the worker grants unpark; an
+    /// unpark meant for an earlier thread of the same worker just loops.
+    fn wait_for_grant(&self, gate: &AtomicBool) -> SchedResult<()> {
         loop {
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
+            if self.shared.poisoned.load(Ordering::Acquire) {
+                return Err(self.error().unwrap_or(SchedError::Shutdown));
             }
-            if inner.slot(me).granted {
-                let slot = inner.slot_mut(me);
-                slot.granted = false;
-                slot.status = ThreadStatus::Running;
+            if gate.swap(false, Ordering::Acquire) {
                 return Ok(());
             }
-            let cv = Arc::clone(&inner.slot(me).cv);
-            cv.wait(&mut inner);
+            std::thread::park();
         }
     }
 
     fn declare_deadlock(&self, inner: &mut Inner) {
-        let blocked = inner
-            .blocked()
-            .into_iter()
-            .map(|v| {
-                let slot = inner.slot(v);
-                let reason = match &slot.status {
-                    ThreadStatus::Blocked(r) => r.clone(),
-                    _ => BlockReason::Other("unknown".into()),
-                };
-                BlockedThread {
-                    vtid: v,
+        let blocked = (inner.slots.iter().enumerate())
+            .filter_map(|(i, slot)| match slot.status() {
+                ThreadStatus::Blocked(reason) => Some(BlockedThread {
+                    vtid: Vtid::from_index(i),
                     name: slot.name.clone(),
-                    reason,
-                }
+                    reason: reason.clone(),
+                }),
+                _ => None,
             })
             .collect();
         let info = DeadlockInfo {
@@ -598,8 +540,9 @@ impl Runtime {
             inner.poison = Some(err);
         }
         self.shared.poisoned.store(true, Ordering::SeqCst);
-        for slot in &mut inner.slots {
-            slot.cv.notify_all();
+        let live = (inner.slots.iter()).filter(|s| s.status() != &ThreadStatus::Finished);
+        for worker in live.filter_map(|s| s.worker.as_ref()) {
+            worker.unpark();
         }
         self.shared.driver_cv.notify_all();
     }
@@ -670,7 +613,7 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("mode", &self.shared.config.mode)
             .field("threads", &inner.slots.len())
-            .field("live", &inner.live)
+            .field("live", &inner.live())
             .field("steps", &inner.steps)
             .field("poison", &inner.poison)
             .finish()
@@ -981,23 +924,33 @@ mod tests {
         assert_eq!(&order[15..], &[0usize, 0, 0, 0, 0][..]);
     }
 
+    /// Run `f` on a helper thread, so a hang fails the test instead of
+    /// stalling it.
+    fn within_10s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("{what} hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+        }
+    }
+
     #[test]
     fn failed_worker_creation_poisons_the_run() {
         use crate::JoinError;
-        // On a helper thread, so a hang fails the test instead of stalling it.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let (run, lost, started) = within_10s("run() after a failed spawn", || {
             let rt = Runtime::new(SchedConfig::deterministic(1));
             let rt2 = rt.clone();
             let started = rt.spawn("started", move || rt2.yield_now());
             crate::pool::fail_next_execute();
             let lost = rt.spawn("lost", || 1);
             let run = rt.run();
-            let _ = tx.send((run, lost.join().err(), started.join().ok()));
+            (run, lost.join().err(), started.join().ok())
         });
-        let (run, lost, started) = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("run() hung after a failed spawn");
         let want = SchedError::SpawnFailed {
             name: "lost".into(),
             error: "injected".into(),
@@ -1005,6 +958,175 @@ mod tests {
         assert_eq!(run, Err(want.clone()));
         assert!(matches!(lost, Some(JoinError::Sched(e)) if e == want));
         assert_eq!(started, Some(Err(want)));
+    }
+
+    /// One runtime's share of the stress mix: 16 groups of four threads —
+    /// a yielder, a semaphore ping-pong pair (block/unblock), and a thread
+    /// that spawns a child and joins it. Returns the steps taken and the
+    /// number of finished work items.
+    fn stress_run(config: SchedConfig) -> (u64, usize) {
+        use crate::SimSemaphore;
+        let rt = Runtime::new(config);
+        let done = Arc::new(AtomicUsize::new(0));
+        let mut handles = Vec::new();
+        for g in 0..16 {
+            let ping = SimSemaphore::new(rt.clone(), format!("ping{g}"), 0);
+            let pong = SimSemaphore::new(rt.clone(), format!("pong{g}"), 0);
+            let (rt1, done1) = (rt.clone(), Arc::clone(&done));
+            handles.push(rt.spawn(format!("yield{g}"), move || {
+                for _ in 0..16 {
+                    rt1.advance_ns(1);
+                    rt1.yield_now().unwrap();
+                    done1.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+            let (ping2, pong2, done2) = (ping.clone(), pong.clone(), Arc::clone(&done));
+            handles.push(rt.spawn(format!("ping{g}"), move || {
+                for _ in 0..8 {
+                    ping2.release();
+                    pong2.acquire().unwrap();
+                    done2.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+            let done3 = Arc::clone(&done);
+            handles.push(rt.spawn(format!("pong{g}"), move || {
+                for _ in 0..8 {
+                    ping.acquire().unwrap();
+                    pong.release();
+                    done3.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+            let (rt4, done4) = (rt.clone(), Arc::clone(&done));
+            handles.push(rt.spawn(format!("spawner{g}"), move || {
+                let (rt5, done5) = (rt4.clone(), Arc::clone(&done4));
+                let child = rt4.spawn(format!("child{g}"), move || {
+                    for _ in 0..4 {
+                        rt5.yield_now().unwrap();
+                    }
+                    done5.fetch_add(1, Ordering::Relaxed);
+                });
+                rt4.yield_now().unwrap();
+                child.join().unwrap();
+                done4.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        rt.run().unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        (rt.steps(), done.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn concurrent_runtimes_lose_no_wakeups() {
+        let per_run = 16 * (16 + 8 + 8 + 1 + 1);
+        for deterministic in [true, false] {
+            let results = within_10s("eight concurrent runtimes", move || {
+                let runs: Vec<_> = (0..8u64)
+                    .map(|i| {
+                        std::thread::spawn(move || {
+                            stress_run(if deterministic {
+                                SchedConfig::deterministic(i % 2)
+                            } else {
+                                SchedConfig::free()
+                            })
+                        })
+                    })
+                    .collect();
+                runs.into_iter()
+                    .map(|r| r.join().unwrap())
+                    .collect::<Vec<_>>()
+            });
+            for (i, &(steps, done)) in results.iter().enumerate() {
+                assert_eq!(done, per_run, "runtime {i} lost work");
+                if deterministic {
+                    // Same seed, same decisions, however the OS interleaves
+                    // the eight runtimes' workers.
+                    assert_eq!(steps, results[i % 2].0, "runtime {i} diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_every_parked_thread() {
+        // Deterministic threads parked before their first grant, and free
+        // threads parked in `block_current`.
+        for deterministic in [true, false] {
+            let outcomes = within_10s("shutdown of a parked run", move || {
+                let rt = Runtime::new(if deterministic {
+                    SchedConfig::deterministic(5)
+                } else {
+                    SchedConfig::free()
+                });
+                let handles: Vec<_> = (0..64)
+                    .map(|i| {
+                        let rt2 = rt.clone();
+                        rt.spawn(format!("parked{i}"), move || {
+                            let me = current_vtid().unwrap();
+                            let result = if deterministic {
+                                // Never granted: the poisoned run leaves
+                                // this thread's status alone.
+                                let inner = rt2.shared.mu.lock();
+                                assert_eq!(inner.slot(me).status(), &ThreadStatus::Runnable);
+                                assert_eq!(inner.running(), 0);
+                                drop(inner);
+                                rt2.yield_now()
+                            } else {
+                                rt2.block_current(BlockReason::Other("forever".into()))
+                            };
+                            result.unwrap_err()
+                        })
+                    })
+                    .collect();
+                if deterministic {
+                    // Ungranted threads look the same parked or not; the
+                    // pause only makes it likely they have parked.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                } else {
+                    while rt.shared.mu.lock().blocked() < 64 {
+                        std::thread::yield_now();
+                    }
+                }
+                rt.shutdown();
+                let run = rt.run();
+                let joined: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+                (run, joined)
+            });
+            assert_eq!(outcomes.0, Err(SchedError::Shutdown));
+            assert!(outcomes.1.iter().all(|e| *e == SchedError::Shutdown));
+        }
+    }
+
+    #[test]
+    fn stale_unparks_do_not_start_an_ungranted_thread() {
+        let ran_early = within_10s("a run after stale unparks", || {
+            // The worker that ran `first` is idle again and most likely
+            // takes `second`; unpark it once more while it is idle.
+            let first_rt = Runtime::new(SchedConfig::deterministic(0));
+            let first = first_rt.spawn("first", || ());
+            let first_worker = first_rt.shared.mu.lock().slot(first.vtid()).worker.clone();
+            first_rt.run().unwrap();
+            first.join().unwrap();
+            first_worker.unwrap().unpark();
+
+            let rt = Runtime::new(SchedConfig::deterministic(1));
+            let started = Arc::new(AtomicBool::new(false));
+            let started2 = Arc::clone(&started);
+            let second = rt.spawn("second", move || started2.store(true, Ordering::SeqCst));
+            let worker = rt.shared.mu.lock().slot(second.vtid()).worker.clone();
+            // Each pause gives a wrongly woken body time to start.
+            for _ in 0..3 {
+                worker.as_ref().unwrap().unpark();
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let ran_early = started.load(Ordering::SeqCst);
+            rt.run().unwrap();
+            second.join().unwrap();
+            assert!(started.load(Ordering::SeqCst));
+            ran_early
+        });
+        assert!(!ran_early, "the body ran before its thread was granted");
     }
 
     #[test]

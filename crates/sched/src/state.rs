@@ -1,12 +1,16 @@
-//! Internal scheduler state.
+//! Internal scheduler state, kept behind the runtime's one mutex. A thread
+//! waiting for the token does not wait on that mutex: it parks until a
+//! grant opens its slot's gate, then takes the gate without locking.
+//! [`Inner::set_status`] keeps the runnable list and the counters in step
+//! with every status change, so a scheduling step never scans the slots.
 
 use crate::clock::SimTime;
 use crate::vtid::Vtid;
 use crate::SchedError;
-use parking_lot::Condvar;
 use std::fmt;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 /// Why a virtual thread is blocked. Carried into deadlock reports so the
 /// HOME pipeline can explain *what* each participant was waiting for.
@@ -57,14 +61,17 @@ pub(crate) enum ThreadStatus {
 /// Per-thread bookkeeping slot.
 pub(crate) struct ThreadSlot {
     pub(crate) name: String,
-    pub(crate) status: ThreadStatus,
+    /// Set only through [`Inner::set_status`].
+    status: ThreadStatus,
     /// Pending wake tokens (park/unpark protocol): an `unblock` delivered
     /// before the target actually blocks must not be lost.
     pub(crate) wake_tokens: u32,
-    /// True once a grant has been issued and not yet consumed.
-    pub(crate) granted: bool,
-    /// Condvar this thread parks on (paired with the runtime's global mutex).
-    pub(crate) cv: Arc<Condvar>,
+    /// Opened by a grant while the runtime's mutex is held; taken by the
+    /// granted thread without it.
+    pub(crate) gate: Arc<AtomicBool>,
+    /// The pooled worker running this thread, which grants and free-mode
+    /// unblocks unpark. `None` only for a thread no worker could take.
+    pub(crate) worker: Option<Thread>,
     /// Virtual clock, shared with the thread-local fast path.
     pub(crate) clock: Arc<AtomicU64>,
     /// Threads blocked in `join` on this thread.
@@ -75,29 +82,39 @@ pub(crate) struct ThreadSlot {
 }
 
 impl ThreadSlot {
+    /// Counts as finished until [`Inner::push`] gives it a status.
     pub(crate) fn new(name: String) -> Self {
         ThreadSlot {
             name,
-            status: ThreadStatus::Runnable,
+            status: ThreadStatus::Finished,
             wake_tokens: 0,
-            granted: false,
-            cv: Arc::new(Condvar::new()),
+            gate: Arc::new(AtomicBool::new(false)),
+            worker: None,
             clock: Arc::new(AtomicU64::new(0)),
             join_waiters: Vec::new(),
             priority: 0,
         }
     }
 
+    pub(crate) fn status(&self) -> &ThreadStatus {
+        &self.status
+    }
+
     pub(crate) fn clock_now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(std::sync::atomic::Ordering::Relaxed))
+        SimTime::from_nanos(self.clock.load(Ordering::Relaxed))
     }
 }
 
 /// Shared mutable scheduler state, protected by the runtime's global mutex.
+#[derive(Default)]
 pub(crate) struct Inner {
     pub(crate) slots: Vec<ThreadSlot>,
-    /// Threads not yet `Finished`.
-    pub(crate) live: usize,
+    /// Runnable threads in id order: the list every policy chooses from.
+    runnable: Vec<Vtid>,
+    /// Threads `Running`, `Blocked` and not yet `Finished`.
+    running: usize,
+    blocked: usize,
+    live: usize,
     /// Scheduling decisions taken so far (deterministic mode).
     pub(crate) steps: u64,
     /// Last thread granted (for round-robin).
@@ -105,42 +122,53 @@ pub(crate) struct Inner {
     /// Once set, every scheduler primitive returns this error and gating is
     /// disabled so that all threads can unwind.
     pub(crate) poison: Option<SchedError>,
+    /// The worker a grant chose, to be unparked once the mutex is released.
+    pub(crate) wake: Option<Thread>,
 }
 
 impl Inner {
-    pub(crate) fn new() -> Self {
-        Inner {
-            slots: Vec::new(),
-            live: 0,
-            steps: 0,
-            last_granted: None,
-            poison: None,
+    /// Add `slot` as the next thread id, in `status`.
+    pub(crate) fn push(&mut self, slot: ThreadSlot, status: ThreadStatus) {
+        self.slots.push(slot);
+        self.set_status(Vtid::from_index(self.slots.len() - 1), status);
+    }
+
+    /// Move `v` to `status`, updating the runnable list and the counters.
+    pub(crate) fn set_status(&mut self, v: Vtid, status: ThreadStatus) {
+        match std::mem::replace(&mut self.slots[v.index()].status, status) {
+            ThreadStatus::Runnable => {
+                let at = self.runnable.binary_search(&v).expect("runnable is listed");
+                self.runnable.remove(at);
+            }
+            ThreadStatus::Running => self.running -= 1,
+            ThreadStatus::Blocked(_) => self.blocked -= 1,
+            ThreadStatus::Finished => self.live += 1,
+        }
+        match self.slots[v.index()].status {
+            ThreadStatus::Runnable => {
+                let at = self.runnable.binary_search(&v).unwrap_err();
+                self.runnable.insert(at, v);
+            }
+            ThreadStatus::Running => self.running += 1,
+            ThreadStatus::Blocked(_) => self.blocked += 1,
+            ThreadStatus::Finished => self.live -= 1,
         }
     }
 
-    pub(crate) fn runnable(&self) -> Vec<Vtid> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.status == ThreadStatus::Runnable)
-            .map(|(i, _)| Vtid::from_index(i))
-            .collect()
+    pub(crate) fn runnable(&self) -> &[Vtid] {
+        &self.runnable
     }
 
-    pub(crate) fn blocked(&self) -> Vec<Vtid> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.status, ThreadStatus::Blocked(_)))
-            .map(|(i, _)| Vtid::from_index(i))
-            .collect()
+    pub(crate) fn running(&self) -> usize {
+        self.running
     }
 
-    pub(crate) fn running_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.status == ThreadStatus::Running)
-            .count()
+    pub(crate) fn blocked(&self) -> usize {
+        self.blocked
+    }
+
+    pub(crate) fn live(&self) -> usize {
+        self.live
     }
 
     pub(crate) fn slot(&self, v: Vtid) -> &ThreadSlot {
@@ -168,13 +196,24 @@ mod tests {
 
     #[test]
     fn inner_queries() {
-        let mut inner = Inner::new();
-        inner.slots.push(ThreadSlot::new("a".into()));
-        inner.slots.push(ThreadSlot::new("b".into()));
-        inner.live = 2;
-        inner.slots[1].status = ThreadStatus::Blocked(BlockReason::Other("x".into()));
-        assert_eq!(inner.runnable(), vec![Vtid::from_index(0)]);
-        assert_eq!(inner.blocked(), vec![Vtid::from_index(1)]);
-        assert_eq!(inner.running_count(), 0);
+        let mut inner = Inner::default();
+        for name in ["a", "b", "c", "d"] {
+            inner.push(ThreadSlot::new(name.into()), ThreadStatus::Runnable);
+        }
+        let v: Vec<Vtid> = (0..4).map(Vtid::from_index).collect();
+        inner.set_status(v[1], ThreadStatus::Blocked(BlockReason::Other("x".into())));
+        inner.set_status(v[2], ThreadStatus::Running);
+        assert_eq!(inner.runnable(), [v[0], v[3]]);
+        assert_eq!((inner.running(), inner.blocked(), inner.live()), (1, 1, 4));
+        inner.set_status(v[1], ThreadStatus::Runnable);
+        inner.set_status(v[2], ThreadStatus::Finished);
+        assert_eq!(inner.runnable(), [v[0], v[1], v[3]]);
+        assert_eq!((inner.running(), inner.blocked(), inner.live()), (0, 0, 3));
+        inner.push(ThreadSlot::new("e".into()), ThreadStatus::Finished);
+        assert_eq!(
+            inner.slot(Vtid::from_index(4)).status(),
+            &ThreadStatus::Finished
+        );
+        assert_eq!(inner.live(), 3);
     }
 }
