@@ -141,8 +141,8 @@ fn policies() -> Vec<(&'static str, SchedConfig)> {
     cases
 }
 
-/// (policy, seed, decision log, `Runtime::steps`), recorded on the
-/// condvar handoff the gated-parker handoff replaced.
+/// (policy, seed, decision log, `Runtime::steps`), recorded before the
+/// handoff was rewritten. Never regenerate them from the code under test.
 const GOLDEN: [(&str, u64, &str, u64); 8] = [
     ("random", 1, "530c30c14222155c301044", 23),
     ("round-robin", 1, "012345c0235c0125c01344", 23),
