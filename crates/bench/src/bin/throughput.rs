@@ -1,8 +1,8 @@
 //! `throughput` — events/sec measurements for the detection hot path, and
 //! steps/sec for the scheduler handoff under it.
 //!
-//! Measures the detector inner loops (batch and streaming) and the trace
-//! decode paths (JSON, buffered HBT, mmap HBT) over traces recorded from
+//! Measures the detector inner loop (event-at-a-time and batched feeds)
+//! and the trace decode paths (JSON, HBT v1 and v2) over traces recorded from
 //! the bundled programs plus a synthetic wide-region stress corpus, then
 //! the deterministic scheduler's handoff rate at 64, 512 and 4,096 virtual
 //! threads, and prints one JSON document so `BENCH_throughput.json` and the
@@ -13,7 +13,7 @@
 //! cargo run --release -p home-bench --bin throughput -- --quick # CI smoke
 //! ```
 
-use home_dynamic::{detect, DetectorConfig};
+use home_dynamic::DetectorConfig;
 use home_interp::{run, Instrumentation, RunConfig};
 use home_ir::parse;
 use home_sched::{Runtime, SchedConfig};
@@ -240,11 +240,6 @@ fn main() {
         let hbt = encode_trace(trace);
         let hbt_v2 = encode_trace_v2(trace);
 
-        let batch = measure(n, min_iters, min_secs, || {
-            detect(std::hint::black_box(trace), &config)
-                .map(|r| r.len())
-                .unwrap_or(0)
-        });
         let stream = measure(n, min_iters, min_secs, || {
             detect_stream(std::hint::black_box(trace), &config)
                 .map(|(r, _)| r.len())
@@ -267,7 +262,6 @@ fn main() {
                 .map(|s| s.len())
                 .unwrap_or(0)
         });
-        let dec_hbt_mmap = mmap_decode_rate(corpus.name, &hbt, n, min_iters, min_secs);
         // v2 decode: serial (frames inflate through the shared reader) and
         // frame-parallel (`replay --jobs 4`, scan_layout + fan-out).
         let dec_v2 = measure(n, min_iters, min_secs, || {
@@ -301,19 +295,17 @@ fn main() {
         let bpe_v2 = hbt_v2.len() as f64 / n.max(1) as f64;
 
         eprintln!(
-            "{}: {} events | batch {:.0} | stream {:.0} | stream-batched {:.0} | json-decode {:.0} | hbt-decode {:.0} | hbt-mmap {:.0} | v2-decode {:.0} | v2-jobs4 {:.0} | replay-eventwise {:.0} | replay-e2e {:.0} | B/ev {:.1} -> {:.1}",
-            corpus.name, n, batch, stream, stream_batched, dec_json, dec_hbt, dec_hbt_mmap, dec_v2, dec_v2_par, replay_eventwise, replay_e2e, bpe_v1, bpe_v2,
+            "{}: {} events | stream {:.0} | stream-batched {:.0} | json-decode {:.0} | hbt-decode {:.0} | v2-decode {:.0} | v2-jobs4 {:.0} | replay-eventwise {:.0} | replay-e2e {:.0} | B/ev {:.1} -> {:.1}",
+            corpus.name, n, stream, stream_batched, dec_json, dec_hbt, dec_v2, dec_v2_par, replay_eventwise, replay_e2e, bpe_v1, bpe_v2,
         );
         let comma = if ci + 1 < corpora.len() { "," } else { "" };
         println!("    {{");
         println!("      \"corpus\": \"{}\",", corpus.name);
         println!("      \"events\": {n},");
-        println!("      \"detect_batch\": {batch:.0},");
         println!("      \"detect_stream\": {stream:.0},");
         println!("      \"detect_stream_batched\": {stream_batched:.0},");
         println!("      \"decode_json\": {dec_json:.0},");
         println!("      \"decode_hbt\": {dec_hbt:.0},");
-        println!("      \"decode_hbt_mmap\": {dec_hbt_mmap:.0},");
         println!("      \"decode_hbt_v2\": {dec_v2:.0},");
         println!("      \"decode_hbt_v2_jobs4\": {dec_v2_par:.0},");
         println!("      \"replay_e2e_eventwise\": {replay_eventwise:.0},");
@@ -399,23 +391,4 @@ fn encode_trace_v2(trace: &Trace) -> Vec<u8> {
         writer.write_event(e).expect("vec write");
     }
     writer.finish().expect("vec write")
-}
-
-/// Decode throughput straight from an mmap'd HBT file (zero-copy replay
-/// path). Writes the corpus to a temp file once, then decodes from the
-/// mapping on every iteration.
-fn mmap_decode_rate(name: &str, hbt: &[u8], n: usize, min_iters: u32, min_secs: f64) -> f64 {
-    let path =
-        std::env::temp_dir().join(format!("home-throughput-{name}-{}.hbt", std::process::id()));
-    if std::fs::write(&path, hbt).is_err() {
-        return 0.0;
-    }
-    let rate = measure(n, min_iters, min_secs, || {
-        home_stream::HbtMmapReader::open(&path)
-            .and_then(|reader| reader.sections())
-            .map(|s| s.len())
-            .unwrap_or(0)
-    });
-    let _ = std::fs::remove_file(&path);
-    rate
 }

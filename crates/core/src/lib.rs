@@ -5,12 +5,13 @@
 //! 1. **Static phase** ([`home_static::analyze`]) — CFG walk marking MPI
 //!    calls inside OpenMP parallel regions for wrapper instrumentation and
 //!    producing the monitored-variable checklist.
-//! 2. **Instrumented execution** ([`home_interp::run`]) — the program runs
-//!    on the simulated MPI/OpenMP substrates; selected call sites write the
-//!    monitored variables (`srctmp`, `tagtmp`, `commtmp`, `requesttmp`,
-//!    `collectivetmp`, `finalizetmp`) tagged with thread ids.
-//! 3. **Dynamic phase** ([`home_dynamic::detect`]) — lockset + happens-
-//!    before concurrency detection over the monitored variables.
+//! 2. **Instrumented execution** ([`home_interp::run_with_sink`]) — the
+//!    program runs on the simulated MPI/OpenMP substrates; selected call
+//!    sites write the monitored variables (`srctmp`, `tagtmp`, `commtmp`,
+//!    `requesttmp`, `collectivetmp`, `finalizetmp`) tagged with thread ids.
+//! 3. **Dynamic phase** ([`home_dynamic::StreamDetector`]) — lockset +
+//!    happens-before concurrency detection over the monitored variables,
+//!    fed each event as the simulation records it.
 //! 4. **Rule matching** ([`match_violations`]) — concurrency results are
 //!    matched against the six thread-safety predicates of Section III-A,
 //!    yielding [`Violation`]s with source locations.
@@ -31,7 +32,7 @@ mod session;
 mod sink;
 
 pub use fanout::{fan_out_indexed, fan_out_indexed_with};
-pub use pipeline::{check, check_with_sink, CheckOptions, Engine};
+pub use pipeline::{check, check_with_sink, CheckOptions};
 pub use replay::{decode_trace, decode_trace_run};
 pub use report::{
     violation_identity, CandidateOutcome, CandidateStatus, EmitOrder, EmittedViolation, HomeReport,

@@ -4,29 +4,13 @@
 use crate::report::{HomeReport, SeedRun, SeedStatus};
 use crate::session::Session;
 use crate::sink::{NullViolationSink, ViolationSink};
-use home_dynamic::{detect, DetectorConfig};
-use home_interp::{run, run_with_sink, Instrumentation, RunConfig, RunResult};
+use home_dynamic::DetectorConfig;
+use home_interp::{run_with_sink, Instrumentation, RunConfig, RunResult};
 use home_ir::Program;
 use home_static::analyze;
 use home_trace::{HomeError, TraceSink};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-
-/// Which detection engine a [`check`] uses for each seed's chain.
-///
-/// Both engines produce byte-identical reports; they differ only in how the
-/// trace flows through detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Materialize the full trace, then run [`home_dynamic::detect`] over
-    /// it (the per-rank sharded batch detector).
-    #[default]
-    Batch,
-    /// Feed events into [`home_stream::StreamDetector`] as the simulator
-    /// emits them: no trace is materialized, dead segments are retired as
-    /// regions join, and peak memory is bounded by the live-segment count.
-    Stream,
-}
 
 /// Options for one HOME check.
 #[derive(Debug, Clone)]
@@ -64,10 +48,6 @@ pub struct CheckOptions {
     /// [`HomeReport::partial`], never poisoning the other seeds). Exposed
     /// on the CLI as `--fail-seed`.
     pub inject_panic_seeds: Vec<u64>,
-    /// Detection engine: batch (materialize the trace, then detect) or
-    /// streaming (detect online while the program runs). Verdicts and the
-    /// rendered report are identical; only memory behavior differs.
-    pub engine: Engine,
 }
 
 impl Default for CheckOptions {
@@ -82,7 +62,6 @@ impl Default for CheckOptions {
             priority_pins: Vec::new(),
             jobs: home_dynamic::default_jobs(),
             inject_panic_seeds: Vec::new(),
-            engine: Engine::default(),
         }
     }
 }
@@ -103,8 +82,8 @@ impl CheckOptions {
         self
     }
 
-    /// Set the worker-thread count for both the per-seed fan-out and the
-    /// detector's per-rank fan-out.
+    /// Set the worker-thread count for the per-seed fan-out (also carried
+    /// in [`DetectorConfig::jobs`], which detection itself ignores).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self.detector.jobs = jobs;
@@ -115,12 +94,6 @@ impl CheckOptions {
     /// isolation testing; see [`CheckOptions::inject_panic_seeds`]).
     pub fn with_fail_seeds(mut self, seeds: Vec<u64>) -> Self {
         self.inject_panic_seeds = seeds;
-        self
-    }
-
-    /// Select the detection engine (see [`Engine`]).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -222,45 +195,20 @@ pub fn check_with_sink(
             cfg.sched.policy = options.sched_policy;
             cfg.sched.priority_pins = options.priority_pins.clone();
 
-            let (result, races, outcome) = match options.engine {
-                Engine::Batch => {
-                    let result = run(program, &cfg);
-                    let races = detect(&result.trace, &options.detector)?;
-                    // Post-hoc drive of the same session the stream arm
-                    // uses live: same observations, same emissions, same
-                    // canonical outcome.
-                    let session = Session::classifier(seed, Arc::clone(&sink));
-                    for e in result.trace.events() {
-                        session.feed_event(e);
-                    }
-                    for race in &races {
-                        session.feed_race(race);
-                    }
-                    for incident in &result.mpi_errors {
-                        session.feed_incident(incident);
-                    }
-                    let outcome = session.finish()?;
-                    (result, races, outcome)
-                }
-                Engine::Stream => {
-                    let session = Arc::new(Session::streaming(
-                        seed,
-                        options.detector.clone(),
-                        Arc::clone(&sink),
-                    ));
-                    let result =
-                        run_with_sink(program, &cfg, Arc::clone(&session) as Arc<dyn TraceSink>);
-                    // Events and races were fed live; incidents are
-                    // gathered by the simulator and fed here, before the
-                    // end-of-seed evaluation.
-                    for incident in &result.mpi_errors {
-                        session.feed_incident(incident);
-                    }
-                    let outcome = session.finish()?;
-                    let races = outcome.races.clone();
-                    (result, races, outcome)
-                }
-            };
+            // Events flow from the simulator straight into the session's
+            // detector and rule engine; no trace is materialized.
+            let session = Arc::new(Session::streaming(
+                seed,
+                options.detector.clone(),
+                Arc::clone(&sink),
+            ));
+            let result = run_with_sink(program, &cfg, Arc::clone(&session) as Arc<dyn TraceSink>);
+            // Incidents are gathered by the simulator and fed here, before
+            // the end-of-seed evaluation.
+            for incident in &result.mpi_errors {
+                session.feed_incident(incident);
+            }
+            let outcome = session.finish()?;
             if let Some(message) = run_failure(&result) {
                 return Err(HomeError::seed(seed, message));
             }
@@ -268,7 +216,7 @@ pub fn check_with_sink(
                 events_recorded: result.events_recorded,
                 deadlock: result.deadlock,
                 incidents: result.mpi_errors,
-                races,
+                races: outcome.races,
                 unclassified: outcome.unclassified,
                 violations: outcome.violations,
             })

@@ -11,8 +11,8 @@
 //!
 //! 1. **open** — [`Session::streaming`] (events flow through the online
 //!    detector, races classify the moment they are discovered) or
-//!    [`Session::classifier`] (no detector; the caller supplies races from
-//!    an external batch detection pass).
+//!    [`Session::classifier`] (no detector; the caller supplies races it
+//!    detected itself, as the schedule explorer does).
 //! 2. **feed** — [`Session::feed_event`], [`Session::feed_race`],
 //!    [`Session::feed_incident`], any number of times, from any thread
 //!    (all methods take `&self`).
@@ -23,16 +23,15 @@
 //!
 //! The check pipeline drives one `Session` per seed; `home serve` opens
 //! one per HBT trace section arriving on a connection; `home replay` and
-//! `home analyze` open one per recorded section. All of them are
-//! byte-identical to the batch rule matcher by construction — the parity
-//! suites enforce it.
+//! `home analyze` open one per recorded section. Their violations equal
+//! those of the offline rule matcher ([`crate::match_rules`]) over the same
+//! events, races and incidents; `tests/session_parity.rs` checks it.
 
 use crate::report::EmittedViolation;
 use crate::rules::{RuleEngine, RuleOutcome};
 use crate::sink::ViolationSink;
-use home_dynamic::{DetectorConfig, Race};
+use home_dynamic::{DetectorConfig, Race, RaceSink, StreamDetector, StreamStats};
 use home_interp::MpiIncident;
-use home_stream::{RaceSink, StreamDetector, StreamStats};
 use home_trace::{Event, HomeError, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,8 +42,8 @@ use std::sync::{Arc, Mutex};
 /// runtime incidents are fed in directly, races arrive through the
 /// [`RaceSink`] callback from the streaming detector, and every emission
 /// the engine produces is forwarded to the [`ViolationSink`] immediately.
-/// The batch arm drives the same tap post-hoc, so both engines share one
-/// classification path.
+/// A classifier session drives the same tap with races fed from outside,
+/// so both kinds of session share one classification path.
 ///
 /// Lock order: the engine mutex is only ever taken *inside* a tap call and
 /// released before the call returns, while the detector's shard lock is
@@ -91,7 +90,7 @@ impl EngineTap {
         self.forward(&fresh);
     }
 
-    /// End-of-run: run the batch-equivalent evaluation, forward whatever
+    /// End-of-run: run the end-of-run rule evaluation, forward whatever
     /// was not already emitted live, and return the canonical outcome.
     fn finish(&self) -> RuleOutcome {
         let fin = self.lock().finish();
@@ -121,11 +120,11 @@ pub struct SessionOutcome {
     /// Events fed through [`Session::feed_event`].
     pub events: u64,
     /// Races: the online detector's result list for streaming sessions
-    /// (ascending rank order, matching the batch engine); empty for
-    /// classifier sessions, whose races the caller already holds.
+    /// (ascending rank order); empty for classifier sessions, whose races
+    /// the caller already holds.
     pub races: Vec<Race>,
     /// Classified violations in canonical rule order, deduplicated within
-    /// the run — identical to the batch matcher's list.
+    /// the run — identical to [`crate::match_rules`]' list.
     pub violations: Vec<crate::report::Violation>,
     /// Monitored races the rules could not classify (missing MPI call
     /// metadata on one side).
@@ -171,8 +170,8 @@ impl Session {
     }
 
     /// Open a classifier session: no online detector. The caller runs race
-    /// detection elsewhere (the batch engine) and feeds the results in via
-    /// [`Session::feed_race`].
+    /// detection itself (e.g. [`home_dynamic::detect`] over a finished
+    /// trace) and feeds the results in via [`Session::feed_race`].
     pub fn classifier(seed: u64, sink: Arc<dyn ViolationSink>) -> Session {
         Session {
             seed,
@@ -289,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_session_matches_batch_classification() {
+    fn streaming_session_matches_offline_classification() {
         let program = collective_program();
         let cfg = RunConfig::test(2, 1);
         let result = run(&program, &cfg);
@@ -308,7 +307,7 @@ mod tests {
         }
         let streamed = session.finish().unwrap();
 
-        // Batch reference: detect then classify.
+        // Offline reference: detect over the whole trace, then classify.
         let races =
             home_dynamic::detect(&result.trace, &home_dynamic::DetectorConfig::hybrid()).unwrap();
         let outcome = crate::rules::match_rules(&result.trace, &races, &result.mpi_errors);

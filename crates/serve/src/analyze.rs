@@ -16,7 +16,7 @@ use home_trace::HomeError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-// The identity keying lives in `home_core` (it is also the batch pipeline's
+// The identity keying lives in `home_core` (it is also the check pipeline's
 // and the exploration engine's dedup key); re-exported here because serve's
 // public API grew it first.
 pub use home_core::{violation_identity, ViolationIdentity};

@@ -1037,7 +1037,7 @@ impl<R: Read> HbtReader<R> {
 ///
 /// The streamable [`HbtReader`] copies each record payload into a fresh
 /// buffer before decoding; when the whole stream is already in memory
-/// (an mmap'd file, a `Vec` read from stdin) that copy is pure overhead.
+/// (a file or stdin read into a `Vec`) that copy is pure overhead.
 /// This reader decodes records *straight from the slice*: the only
 /// allocations are the decoded [`Event`]s themselves. Error messages and
 /// byte offsets match the streaming reader, so callers can switch between
@@ -2263,171 +2263,6 @@ pub fn sections_from_batches<I: IntoIterator<Item = FrameBatch>>(batches: I) -> 
     sections
 }
 
-// ---------------------------------------------------------------------------
-// mmap reader
-// ---------------------------------------------------------------------------
-
-/// Minimal raw bindings for read-only file mapping. The workspace has no
-/// `libc` dependency, so the two symbols needed are declared directly;
-/// `PROT_READ`/`MAP_PRIVATE` have these values on every platform this
-/// builds for (Linux, macOS, BSDs).
-#[cfg(unix)]
-mod mmap_sys {
-    use std::os::unix::io::RawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    /// Map `len` bytes of `fd` read-only and private. Returns `None` if
-    /// the kernel refuses; the caller falls back to buffered reads.
-    /// `len` must be nonzero (zero-length mappings are `EINVAL`).
-    pub fn map(fd: RawFd, len: usize) -> Option<*const u8> {
-        let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
-        // MAP_FAILED is (void *)-1; a null return would also be unusable.
-        if ptr as isize == -1 || ptr.is_null() {
-            None
-        } else {
-            Some(ptr as *const u8)
-        }
-    }
-
-    pub fn unmap(ptr: *const u8, len: usize) {
-        // A failed munmap leaks the mapping until process exit; there is
-        // nothing more useful to do from a destructor.
-        unsafe { munmap(ptr as *mut core::ffi::c_void, len) };
-    }
-}
-
-#[derive(Debug)]
-enum MapBacking {
-    /// A live read-only mapping, unmapped on drop.
-    #[cfg(unix)]
-    Mapped { ptr: *const u8, len: usize },
-    /// Fallback: file contents read into memory (empty files — a
-    /// zero-length mmap is an error — and non-unix platforms).
-    Buffered(Vec<u8>),
-}
-
-/// A memory-mapped HBT trace file, decoded zero-copy.
-///
-/// `open` maps the file read-only (falling back to a buffered read if the
-/// kernel refuses or the file is empty) and [`sections`](Self::sections)
-/// decodes records straight out of the mapping via [`HbtSliceReader`] —
-/// replaying a large recording touches each page once, demand-paged, with
-/// no up-front read of the whole file into the heap.
-#[derive(Debug)]
-pub struct HbtMmapReader {
-    backing: MapBacking,
-    path: String,
-}
-
-// Safety: the mapping is PROT_READ + MAP_PRIVATE, so the pointed-to bytes
-// are immutable for the lifetime of the value; sharing it across threads
-// is no different from sharing a `&[u8]`.
-unsafe impl Send for HbtMmapReader {}
-unsafe impl Sync for HbtMmapReader {}
-
-impl Drop for HbtMmapReader {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        if let MapBacking::Mapped { ptr, len } = self.backing {
-            mmap_sys::unmap(ptr, len);
-        }
-    }
-}
-
-impl HbtMmapReader {
-    /// Map `path` read-only. I/O failures become [`HomeError::TraceParse`]
-    /// naming the file, so CLI diagnostics stay one-line and typed.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, HomeError> {
-        let path = path.as_ref();
-        let display = path.display().to_string();
-        let file = std::fs::File::open(path)
-            .map_err(|e| HomeError::trace_parse(format!("cannot open {display}: {e}")))?;
-        let meta = file
-            .metadata()
-            .map_err(|e| HomeError::trace_parse(format!("cannot stat {display}: {e}")))?;
-        let len = usize::try_from(meta.len())
-            .map_err(|_| HomeError::trace_parse(format!("{display} is too large to map")))?;
-        #[cfg(unix)]
-        if len > 0 {
-            use std::os::unix::io::AsRawFd;
-            if let Some(ptr) = mmap_sys::map(file.as_raw_fd(), len) {
-                return Ok(HbtMmapReader {
-                    backing: MapBacking::Mapped { ptr, len },
-                    path: display,
-                });
-            }
-        }
-        let mut bytes = Vec::with_capacity(len);
-        let mut file = file;
-        file.read_to_end(&mut bytes)
-            .map_err(|e| HomeError::trace_parse(format!("cannot read {display}: {e}")))?;
-        Ok(HbtMmapReader {
-            backing: MapBacking::Buffered(bytes),
-            path: display,
-        })
-    }
-
-    /// The raw mapped bytes.
-    pub fn bytes(&self) -> &[u8] {
-        match &self.backing {
-            #[cfg(unix)]
-            MapBacking::Mapped { ptr, len } => {
-                // Safety: `ptr` is a live PROT_READ mapping of exactly
-                // `len` bytes, valid until `self` drops.
-                unsafe { std::slice::from_raw_parts(*ptr, *len) }
-            }
-            MapBacking::Buffered(bytes) => bytes,
-        }
-    }
-
-    /// The path this reader was opened from.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// True if the mapped file starts with the HBT magic.
-    pub fn is_hbt(&self) -> bool {
-        is_hbt(self.bytes())
-    }
-
-    /// True if the kernel mapping succeeded (false means the buffered
-    /// fallback is in use).
-    pub fn is_mapped(&self) -> bool {
-        #[cfg(unix)]
-        {
-            matches!(self.backing, MapBacking::Mapped { .. })
-        }
-        #[cfg(not(unix))]
-        {
-            false
-        }
-    }
-
-    /// A zero-copy record iterator over the mapping.
-    pub fn records(&self) -> Result<HbtSliceReader<'_>, HomeError> {
-        HbtSliceReader::new(self.bytes())
-    }
-
-    /// Decode the whole mapping into trace sections.
-    pub fn sections(&self) -> Result<Vec<HbtSection>, HomeError> {
-        decode_sections(self.bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2586,46 +2421,6 @@ mod tests {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("{e}"),
         }
-    }
-
-    #[test]
-    fn mmap_reader_sections_match_decode_sections() {
-        let mut w = HbtWriter::new(Vec::new()).unwrap();
-        w.begin_run(42).unwrap();
-        w.write_event(&sample_event(0)).unwrap();
-        w.write_event(&sample_event(1)).unwrap();
-        let bytes = w.finish().unwrap();
-        let path = std::env::temp_dir().join(format!("hbt_mmap_test_{}.hbt", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let reader = HbtMmapReader::open(&path).unwrap();
-        assert!(reader.is_hbt());
-        assert_eq!(reader.bytes(), &bytes[..]);
-        let mapped = reader.sections().unwrap();
-        let buffered = decode_sections(&bytes).unwrap();
-        assert_eq!(mapped.len(), buffered.len());
-        for (m, b) in mapped.iter().zip(&buffered) {
-            assert_eq!(m.seed, b.seed);
-            assert_eq!(m.trace.events(), b.trace.events());
-        }
-        drop(reader);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_reader_empty_file_falls_back() {
-        let path = std::env::temp_dir().join(format!("hbt_mmap_empty_{}.hbt", std::process::id()));
-        std::fs::write(&path, b"").unwrap();
-        let reader = HbtMmapReader::open(&path).unwrap();
-        assert!(!reader.is_mapped(), "zero-length files cannot be mapped");
-        assert!(reader.bytes().is_empty());
-        assert!(reader.sections().is_err(), "empty input is a typed error");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_reader_missing_file_is_typed_error() {
-        let err = HbtMmapReader::open("/nonexistent/definitely/missing.hbt").unwrap_err();
-        assert!(matches!(err, HomeError::TraceParse { .. }), "{err:?}");
     }
 
     /// Record the same two-section trace through both writers; the v2

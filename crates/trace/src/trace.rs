@@ -8,10 +8,12 @@ use std::sync::OnceLock;
 
 /// An immutable, sequence-ordered recording of one run.
 ///
+/// Every constructor sorts the events by `seq`, including deserialization,
+/// so a reordered JSON document yields the same trace as the original.
+///
 /// The rank list is computed lazily on first use and cached: traces are
-/// immutable after construction, and both the detector's shard planner and
-/// the baselines call [`Trace::ranks`] repeatedly, so the sort+dedup pass
-/// should happen once per trace, not once per call.
+/// immutable after construction, so the sort+dedup pass behind
+/// [`Trace::ranks`] happens once per trace, not once per call.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<Event>,
@@ -33,10 +35,7 @@ impl Deserialize for Trace {
             .as_object()
             .ok_or_else(|| Error::expected("object", "Trace", value))?;
         let events: Vec<Event> = serde::field(object, "events", "Trace")?;
-        Ok(Trace {
-            events,
-            ranks: OnceLock::new(),
-        })
+        Ok(Trace::from_events(events))
     }
 }
 
@@ -210,5 +209,19 @@ mod tests {
         let back = Trace::from_json(&json).unwrap();
         assert_eq!(back.len(), t.len());
         assert_eq!(back.events()[2], t.events()[2]);
+    }
+
+    #[test]
+    fn deserialized_events_are_sorted_by_seq() {
+        let t = sample();
+        let mut reversed = t.events().to_vec();
+        reversed.reverse();
+        let json = serde_json::to_string(&serde::Value::Object(vec![(
+            "events".to_string(),
+            reversed.serialize(),
+        )]))
+        .unwrap();
+        let back = Trace::from_json(&json).unwrap();
+        assert_eq!(back.events(), t.events());
     }
 }

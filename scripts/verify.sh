@@ -13,11 +13,13 @@ cargo build --release --offline
 echo "==> cargo test --offline"
 cargo test -q --offline
 
-# The streaming engine's acceptance bar: byte-identical reports vs the
-# batch engine on every bundled program/seed/jobs combination. Part of the
-# suite above, but run explicitly so a parity break names itself.
-echo "==> engine parity (batch vs stream)"
-cargo test -q --offline --test stream_parity
+# The detector's acceptance bar: identical races to an all-pairs oracle
+# written from the paper's definitions, over every bundled program and
+# injected NPB-MZ benchmark, and `check` reports matching recorded golden
+# hashes. Part of the suite above, but run explicitly so a break names
+# itself.
+echo "==> detector oracle and golden reports"
+cargo test -q --offline --test detector_oracle
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -26,9 +28,9 @@ echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Panic-free gate: the base types (home-trace), the pipeline (home-core),
-# the detectors (home-dynamic, home-stream), and the CLI must not
-# unwrap/expect on fallible paths — failures become typed HomeErrors and
-# partial reports. --no-deps keeps the lints scoped to exactly these
+# the detector (home-dynamic), the trace format (home-stream), and the CLI
+# must not unwrap/expect on fallible paths — failures become typed
+# HomeErrors and partial reports. --no-deps keeps the lints scoped to exactly these
 # crates; no --all-targets, so #[cfg(test)] code is exempt. (The same
 # policy is pinned in-source via crate-root deny attributes.)
 echo "==> clippy unwrap/expect gate (home-trace, home-core, home-dynamic, home-stream, home-serve, home-explore, home-static, CLI)"

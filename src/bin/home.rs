@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! home check   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--jobs N] [--faithful]
-//!                          [--fail-seed a,b] [--engine batch|stream]
-//!                          [--pct-depth D] [--pins thread:prio,...]
+//!                          [--fail-seed a,b] [--pct-depth D] [--pins thread:prio,...]
 //! home explore <file.hmp> [--budget N] [--strategy pct|random|directed|all] [--depth D]
 //!                          [--procs N] [--threads N] [--jobs N] [--seed S]
 //! home watch   <file.hmp> [--procs N] [--threads N] [--seeds a,b,c] [--faithful]
@@ -25,10 +24,9 @@
 //! * `explore` — guided schedule-space search over one program: PCT priority
 //!   schedules, race-directed rescheduling of suspects, and DPOR-lite
 //!   fingerprint dedup; every finding carries a token `check` reproduces.
-//! * `watch`   — live mode: the same pipeline on the streaming engine, but
-//!   each violation is printed the moment its evidence is complete, while
-//!   the simulation is still running. Same verdicts and exit codes as
-//!   `check`.
+//! * `watch`   — live mode: the same pipeline, but each violation is
+//!   printed the moment its evidence is complete, while the simulation is
+//!   still running. Same verdicts and exit codes as `check`.
 //! * `static`  — compile-time phase only: per-site instrumentation decisions,
 //!   per-site monitored-variable sets, and static deadlock/violation
 //!   candidates (`--json` dumps the full report; exit 1 on candidates).
@@ -115,9 +113,9 @@ fn print_help() {
     oprintln!("  explore <file.hmp>   guided schedule-space search: PCT priority schedules,");
     oprintln!("                       race-directed rescheduling, fingerprint dedup; each");
     oprintln!("                       finding carries a token `check` reproduces");
-    oprintln!("  watch   <file.hmp>   live mode: the same pipeline on the streaming engine,");
-    oprintln!("                       printing each violation the moment its evidence is");
-    oprintln!("                       complete, while the simulation runs; same exit codes");
+    oprintln!("  watch   <file.hmp>   live mode: the same pipeline, printing each violation");
+    oprintln!("                       the moment its evidence is complete, while the");
+    oprintln!("                       simulation runs; same exit codes");
     oprintln!("  static  <file.hmp>   compile-time phase only: per-site instrumentation");
     oprintln!("                       decisions, per-site monitored-variable sets, and static");
     oprintln!("                       deadlock/violation candidates; --json dumps the full");
@@ -140,17 +138,13 @@ fn print_help() {
     oprintln!("  --procs N       MPI processes to simulate (default 2)");
     oprintln!("  --threads N     OpenMP threads per process (default 2)");
     oprintln!("  --seeds a,b,c   scheduler seeds to explore (default 1,2,3,4)");
-    oprintln!("  --jobs N        worker threads for the seed/rank fan-out;");
+    oprintln!("  --jobs N        worker threads for the seed fan-out;");
     oprintln!("                  1 = serial, default = available parallelism.");
     oprintln!("                  The report is identical for every value.");
     oprintln!("  --faithful      time-faithful scheduling instead of randomized");
     oprintln!("  --fail-seed a,b inject a deliberate failure into the listed seeds");
     oprintln!("                  (fault-isolation testing; the other seeds still run");
     oprintln!("                  and the partial report exits with code 3)");
-    oprintln!("  --engine E      detection engine: `batch` (default) materializes each");
-    oprintln!("                  seed's trace before detecting; `stream` detects online");
-    oprintln!("                  while the program runs, retiring dead segments as");
-    oprintln!("                  regions join. The report is identical either way.");
     oprintln!("  --pct-depth D   schedule under PCT priorities with D change points");
     oprintln!("                  (reproduces `explore` pct findings; implies the");
     oprintln!("                  priority scheduler, incompatible with --faithful)");
@@ -171,8 +165,8 @@ fn print_help() {
     oprintln!();
     oprintln!("watch options:");
     oprintln!("  --procs N / --threads N / --seeds a,b,c / --faithful / --fail-seed a,b");
-    oprintln!("                  as in check (the engine is always `stream`; seeds run");
-    oprintln!("                  serially so the live output order is deterministic)");
+    oprintln!("                  as in check (seeds run serially so the live output");
+    oprintln!("                  order is deterministic)");
     oprintln!("  --flush P       when to print: `every` (default) prints each violation");
     oprintln!("                  as it fires plus a per-seed summary line; `seed` prints");
     oprintln!("                  each seed's deduplicated findings when that seed ends;");
@@ -192,7 +186,7 @@ fn print_help() {
     oprintln!("  --run SEED      (replay only) seek to the one recorded run with this");
     oprintln!("                  scheduler seed via the v2 index and replay only its");
     oprintln!("                  frames; a miss lists the seeds the trace does hold");
-    oprintln!("  --batch N       feed granularity of the detection engine: events go");
+    oprintln!("  --batch N       feed granularity of the detector: events go");
     oprintln!("                  in N-sized batches (default: one batch per section).");
     oprintln!("                  The verdict is byte-identical for every value");
     oprintln!();
@@ -285,12 +279,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// A trace argument opened for reading. File paths are memory-mapped so
-/// HBT records decode zero-copy straight from the page cache; `-` peeks
-/// only standard input's magic bytes, so an HBT pipe streams through the
-/// chunked reader with bounded memory instead of being buffered whole.
+/// A trace argument opened for reading. File paths are read whole and
+/// decoded straight from the buffer; `-` peeks only standard input's magic
+/// bytes, so an HBT pipe streams through the chunked reader with bounded
+/// memory instead of being buffered whole.
 enum TraceInput {
-    Mapped(home::stream::HbtMmapReader),
+    File(Vec<u8>),
     Stdin { prefix: Vec<u8> },
 }
 
@@ -312,22 +306,21 @@ impl TraceInput {
             prefix.truncate(filled);
             Ok(TraceInput::Stdin { prefix })
         } else {
-            match home::stream::HbtMmapReader::open(file) {
-                Ok(reader) => Ok(TraceInput::Mapped(reader)),
-                Err(e) => Err(format!("cannot read {file}: {e}")),
-            }
+            std::fs::read(file)
+                .map(TraceInput::File)
+                .map_err(|e| format!("cannot read {file}: {e}"))
         }
     }
 
     fn is_hbt(&self) -> bool {
         match self {
-            TraceInput::Mapped(reader) => home::stream::is_hbt(reader.bytes()),
+            TraceInput::File(bytes) => home::stream::is_hbt(bytes),
             TraceInput::Stdin { prefix } => home::stream::is_hbt(prefix),
         }
     }
 
     /// Analyze the trace with the shared session-driven verdict path.
-    /// Mapped files decode frame-parallel across `jobs` workers
+    /// Files decode frame-parallel across `jobs` workers
     /// ([`home::core::decode_trace`]); stdin streams record-at-a-time
     /// through [`home::serve::analyze_stream`] — same verdict, bounded
     /// memory, `jobs` irrelevant because a pipe cannot seek.
@@ -337,8 +330,8 @@ impl TraceInput {
         batch: Option<usize>,
     ) -> Result<home::serve::TraceOutcome, HomeError> {
         match self {
-            TraceInput::Mapped(reader) => {
-                let sections = home::core::decode_trace(reader.bytes(), jobs)?;
+            TraceInput::File(bytes) => {
+                let sections = home::core::decode_trace(bytes, jobs)?;
                 home::serve::analyze_sections_batched(&sections, batch)
             }
             TraceInput::Stdin { prefix } => {
@@ -355,7 +348,7 @@ impl TraceInput {
     /// forwards raw bytes). Only here does stdin get slurped.
     fn read_all(&self) -> Result<std::borrow::Cow<'_, [u8]>, String> {
         match self {
-            TraceInput::Mapped(reader) => Ok(std::borrow::Cow::Borrowed(reader.bytes())),
+            TraceInput::File(bytes) => Ok(std::borrow::Cow::Borrowed(bytes)),
             TraceInput::Stdin { prefix } => {
                 let mut buf = prefix.clone();
                 std::io::Read::read_to_end(&mut std::io::stdin().lock(), &mut buf)
@@ -534,15 +527,6 @@ fn cmd_check(program: &Program, args: &[String]) -> ExitCode {
         if let Some(fails) = flag_value(args, "--fail-seed")? {
             options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
         }
-        options.engine = match flag_value(args, "--engine")? {
-            None | Some("batch") => Engine::Batch,
-            Some("stream") => Engine::Stream,
-            Some(other) => {
-                return Err(format!(
-                    "unknown engine `{other}`: expected `batch` or `stream`"
-                ))
-            }
-        };
         Ok(options)
     })();
     let options = match parsed {
@@ -689,8 +673,7 @@ fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
         if let Some(fails) = flag_value(args, "--fail-seed")? {
             options.inject_panic_seeds = parse_seed_list(fails, "--fail-seed")?;
         }
-        // Live mode is the streaming engine by definition, and seeds run
-        // serially so emissions arrive in seed order. A `--jobs` request
+        // Seeds run serially so live emissions arrive in seed order. A `--jobs` request
         // other than 1 is rejected loudly instead of silently overridden:
         // the user asked for parallelism watch cannot deliver.
         match usize_flag(args, "--jobs", 1)? {
@@ -699,11 +682,11 @@ fn cmd_watch(program: &Program, args: &[String]) -> ExitCode {
                 return Err(format!(
                     "watch runs seeds serially so live output is deterministic; \
                      --jobs {n} is not supported (use `check --jobs {n}` for a \
-                     parallel batch verdict)"
+                     parallel verdict)"
                 ))
             }
         }
-        options = options.with_jobs(1).with_engine(Engine::Stream);
+        options = options.with_jobs(1);
         let policy = match flag_value(args, "--flush")? {
             None | Some("every") => FlushPolicy::Every,
             Some("seed") => FlushPolicy::Seed,
@@ -862,10 +845,10 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     // --run SEED: seek straight to one recorded section via the v2 index
-    // and decode only its frames. Needs a mapped file — a pipe cannot seek.
+    // and decode only its frames. Needs a file — a pipe cannot seek.
     if let Some(seed) = run_seed {
-        let reader = match &input {
-            TraceInput::Mapped(reader) => reader,
+        let bytes = match &input {
+            TraceInput::File(bytes) => bytes,
             TraceInput::Stdin { .. } => {
                 return usage_error(
                     "--run needs a seekable trace file; a stdin pipe cannot seek \
@@ -873,7 +856,7 @@ fn cmd_replay(file: &str, args: &[String]) -> ExitCode {
                 )
             }
         };
-        let outcome = home::core::decode_trace_run(reader.bytes(), seed, jobs)
+        let outcome = home::core::decode_trace_run(bytes, seed, jobs)
             .and_then(|sections| home::serve::analyze_sections_batched(&sections, batch));
         return match outcome {
             Ok(o) => print_outcome(&format!("replay (run {seed})"), &o),

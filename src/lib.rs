@@ -12,8 +12,8 @@
 //! | OpenMP | [`omp`] | parallel regions, worksharing, critical/locks/barriers |
 //! | language | [`ir`] | a C-like hybrid mini-language (DSL + builder) |
 //! | static | [`static_analysis`] | CFG + Algorithm 1 (selective instrumentation checklist) |
-//! | dynamic | [`dynamic`] | lockset + happens-before race detection |
-//! | streaming | [`stream`] | online (event-at-a-time) detection and the HBT binary trace format |
+//! | dynamic | [`dynamic`] | lockset + happens-before race detection, online (event-at-a-time) |
+//! | streaming | [`stream`] | the HBT binary trace format |
 //! | interpreter | [`interp`] | runs IR programs over the substrates with tool instrumentation |
 //! | tool | [`core`] | the HOME pipeline and the six violation rules |
 //! | exploration | [`explore`] | guided schedule search: PCT priorities, race-directed flips, DPOR-lite dedup |
@@ -62,8 +62,8 @@ pub use home_trace as trace;
 pub mod prelude {
     pub use home_baselines::{run_tool, Tool};
     pub use home_core::{
-        check, check_with_sink, CheckOptions, EmittedViolation, Engine, HomeReport, RuleEngine,
-        Violation, ViolationKind, ViolationSink,
+        check, check_with_sink, CheckOptions, EmittedViolation, HomeReport, RuleEngine, Violation,
+        ViolationKind, ViolationSink,
     };
     pub use home_dynamic::{detect, DetectorConfig, DetectorMode, Race};
     pub use home_explore::{ExploreOptions, ExploreReport, ScheduleToken, Strategy};

@@ -67,9 +67,9 @@ fn detect_stream_batched_matches_detect_stream_on_every_program() {
     }
 }
 
-/// Cross-engine closure: the batch-fed streaming detector still matches
-/// the offline batch detector (the original acceptance bar), so batching
-/// cannot open a gap between the two engines.
+/// The batch-fed detector matches `detect` over the whole trace (the entry
+/// `analyze` and the baselines use), so batching cannot open a gap between
+/// the live and the offline paths.
 #[test]
 fn detect_stream_batched_matches_offline_detect() {
     let config = DetectorConfig::hybrid();

@@ -212,6 +212,47 @@ fn run_dumps_trace_and_analyze_reads_it_back() {
 }
 
 #[test]
+fn analyze_sorts_a_shuffled_json_trace() {
+    // A JSON trace is a document: its events may arrive in any order (a
+    // tool that merges per-rank files, a hand edit). Analysis orders them
+    // by sequence number, so a shuffled copy gives the same output.
+    let dir = std::env::temp_dir().join("home_cli_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sorted = dir.join("fig2_sorted.json");
+    home_cli(&[
+        "run",
+        "programs/figure2.hmp",
+        "--tool",
+        "home",
+        "--trace-out",
+        sorted.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&sorted).unwrap();
+    let mut doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let serde_json::Value::Object(fields) = &mut doc else {
+        panic!("trace JSON is an object");
+    };
+    let Some((_, serde_json::Value::Array(events))) =
+        fields.iter_mut().find(|(k, _)| k == "events")
+    else {
+        panic!("trace JSON has an events array");
+    };
+    assert!(events.len() > 4, "figure2 records events");
+    // A fixed permutation: reverse, then rotate by a third.
+    events.reverse();
+    let third = events.len() / 3;
+    events.rotate_left(third);
+    let shuffled = dir.join("fig2_shuffled.json");
+    std::fs::write(&shuffled, serde_json::to_string(&doc).unwrap()).unwrap();
+
+    let (want, _, want_code) = home_cli(&["analyze", sorted.to_str().unwrap()]);
+    let (got, stderr, got_code) = home_cli(&["analyze", shuffled.to_str().unwrap()]);
+    assert_eq!(want_code, Some(1), "{want}");
+    assert_eq!(got_code, want_code, "{stderr}");
+    assert_eq!(got, want);
+}
+
+#[test]
 fn analyze_rejects_garbage() {
     let dir = std::env::temp_dir().join("home_cli_trace");
     std::fs::create_dir_all(&dir).unwrap();
@@ -343,7 +384,7 @@ fn help_documents_exit_codes_and_fail_seed() {
     assert!(stdout.contains("3 partial results"), "{stdout}");
     assert!(stdout.contains("record"), "{stdout}");
     assert!(stdout.contains("replay"), "{stdout}");
-    assert!(stdout.contains("--engine"), "{stdout}");
+    assert!(!stdout.contains("--engine"), "{stdout}");
 }
 
 /// Scratch directory inside the repo's target dir (provided by cargo for
@@ -496,26 +537,6 @@ fn watch_rejects_parallel_jobs_loudly() {
     let (_, _, explicit) = home_cli(&["watch", "programs/figure2.hmp", "--jobs", "1"]);
     let (_, _, default) = home_cli(&["watch", "programs/figure2.hmp"]);
     assert_eq!(explicit, default);
-}
-
-#[test]
-fn check_engine_stream_is_byte_identical_to_batch() {
-    for program in ["programs/figure2.hmp", "programs/figure2_fixed.hmp"] {
-        for jobs in ["1", "4"] {
-            let (batch, _, batch_code) = home_cli(&["check", program, "--jobs", jobs]);
-            let (stream, _, stream_code) =
-                home_cli(&["check", program, "--jobs", jobs, "--engine", "stream"]);
-            assert_eq!(batch_code, stream_code, "{program} jobs={jobs}");
-            assert_eq!(batch, stream, "{program} jobs={jobs}");
-        }
-    }
-}
-
-#[test]
-fn check_rejects_unknown_engine() {
-    let (_, stderr, code) = home_cli(&["check", "programs/figure1.hmp", "--engine", "turbo"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.contains("unknown engine"), "{stderr}");
 }
 
 #[test]
@@ -697,9 +718,8 @@ fn watch_flush_seed_prints_per_seed_findings_with_markers() {
 
 #[test]
 fn watch_flush_end_renders_exactly_the_check_report() {
-    // `--flush end` defers everything to the final report; since watch
-    // forces the stream engine and stream is byte-identical to batch,
-    // the output must equal `check`'s.
+    // `--flush end` defers everything to the final report; watch runs
+    // `check`'s pipeline, so the output must equal `check`'s.
     let (watch_out, _, watch_code) = home_cli(&["watch", "programs/figure2.hmp", "--flush", "end"]);
     let (check_out, _, check_code) = home_cli(&["check", "programs/figure2.hmp"]);
     assert_eq!(watch_code, check_code);

@@ -7,12 +7,12 @@
 //!
 //! The second half checks the pipeline-level contract: running
 //! `check_with_sink` with a [`ViolationCollector`] on the bundled
-//! programs, the per-seed emission stream reconstructs the batch report
+//! programs, the per-seed emission stream reconstructs the final report
 //! exactly (per-seed canonical order, cross-seed dedup), each
 //! [`EmitOrder`] key appears exactly once per seed, and the whole
-//! emission sequence is deterministic across engines and repeated runs.
+//! emission sequence is deterministic across repeated runs.
 
-use home::core::{check_with_sink, CheckOptions, Engine, RuleEngine, ViolationCollector};
+use home::core::{check_with_sink, CheckOptions, RuleEngine, ViolationCollector};
 use home::core::{EmittedViolation, Violation, ViolationKind};
 use home::dynamic::{Race, RaceAccess};
 use home::interp::MpiIncident;
@@ -297,7 +297,7 @@ fn seed_is_stamped_onto_every_emission() {
 
 // ---------------------------------------------------------------------------
 // Pipeline parity: emissions through `check_with_sink` reconstruct the
-// batch report, for both engines, on every bundled program.
+// final report on every bundled program.
 // ---------------------------------------------------------------------------
 
 fn bundled_programs() -> Vec<(String, home::ir::Program)> {
@@ -345,71 +345,53 @@ fn reconstruct(emissions: &[EmittedViolation], seeds: &[u64]) -> Vec<Violation> 
 }
 
 #[test]
-fn emissions_reconstruct_the_batch_report_for_both_engines() {
+fn emissions_reconstruct_the_report() {
     let seeds: Vec<u64> = vec![1, 2, 3];
     for (name, program) in bundled_programs() {
-        for engine in [Engine::Batch, Engine::Stream] {
-            let collector = Arc::new(ViolationCollector::new());
-            let options = CheckOptions::default()
-                .with_seeds(seeds.clone())
-                .with_jobs(1)
-                .with_engine(engine);
-            let report = check_with_sink(&program, &options, collector.clone());
-            let emissions = collector.emissions();
+        let collector = Arc::new(ViolationCollector::new());
+        let options = CheckOptions::default()
+            .with_seeds(seeds.clone())
+            .with_jobs(1);
+        let report = check_with_sink(&program, &options, collector.clone());
+        let emissions = collector.emissions();
 
-            // Each canonical key appears exactly once per seed.
-            let mut keys = std::collections::BTreeSet::new();
-            for e in &emissions {
-                assert!(
-                    keys.insert((e.seed, e.order)),
-                    "{name}/{engine:?}: duplicate emission key {:?} for seed {}",
-                    e.order,
-                    e.seed
-                );
-            }
-
-            assert_eq!(
-                reconstruct(&emissions, &seeds),
-                report.violations,
-                "{name}/{engine:?}: emissions do not reconstruct the report"
+        // Each canonical key appears exactly once per seed.
+        let mut keys = std::collections::BTreeSet::new();
+        for e in &emissions {
+            assert!(
+                keys.insert((e.seed, e.order)),
+                "{name}: duplicate emission key {:?} for seed {}",
+                e.order,
+                e.seed
             );
         }
+
+        assert_eq!(
+            reconstruct(&emissions, &seeds),
+            report.violations,
+            "{name}: emissions do not reconstruct the report"
+        );
     }
 }
 
 #[test]
-fn emission_sequence_is_deterministic_and_engine_independent() {
-    let run = |program: &home::ir::Program, engine: Engine| {
+fn emission_sequence_is_deterministic() {
+    let run = |program: &home::ir::Program| {
         let collector = Arc::new(ViolationCollector::new());
-        let options = CheckOptions::default()
-            .with_seeds(vec![1, 2])
-            .with_jobs(1)
-            .with_engine(engine);
+        let options = CheckOptions::default().with_seeds(vec![1, 2]).with_jobs(1);
         check_with_sink(program, &options, collector.clone());
         collector.emissions()
     };
     for (name, program) in bundled_programs() {
-        let batch = run(&program, Engine::Batch);
-        let batch_again = run(&program, Engine::Batch);
-        assert_eq!(batch, batch_again, "{name}: batch emissions not stable");
-        let stream = run(&program, Engine::Stream);
-        // Arrival *order* within a seed may differ between engines (the
-        // stream engine fires mid-run, batch post-hoc), but the emitted
-        // set — keys and violations — must be identical.
-        let key = |e: &EmittedViolation| (e.seed, e.order, e.violation.clone());
-        let mut b: Vec<_> = batch.iter().map(key).collect();
-        let mut s: Vec<_> = stream.iter().map(key).collect();
-        b.sort_by_key(|x| (x.0, x.1));
-        s.sort_by_key(|x| (x.0, x.1));
-        assert_eq!(b, s, "{name}: engines emitted different violation sets");
+        assert_eq!(run(&program), run(&program), "{name}: emissions not stable");
     }
 }
 
 #[test]
 fn stream_engine_emits_live_when_evidence_completes_mid_run() {
     // figure2 is the paper's concurrent-recv case study: the recv race is
-    // decidable the moment the detector reports it, so the stream engine
-    // must flag those emissions live.
+    // decidable the moment the detector reports it, so the pipeline must
+    // flag those emissions live.
     let src =
         std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("programs/figure2.hmp"))
             .expect("read figure2");
@@ -417,8 +399,7 @@ fn stream_engine_emits_live_when_evidence_completes_mid_run() {
     let collector = Arc::new(ViolationCollector::new());
     let options = CheckOptions::default()
         .with_seeds(vec![1, 2, 3, 4])
-        .with_jobs(1)
-        .with_engine(Engine::Stream);
+        .with_jobs(1);
     let report = check_with_sink(&program, &options, collector.clone());
     assert!(report.has(ViolationKind::ConcurrentRecv));
     let emissions = collector.emissions();

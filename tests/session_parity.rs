@@ -1,7 +1,7 @@
 //! Session-object parity: detection driven through [`Session`] — the
-//! engine behind `home serve`, `replay`, and the streaming pipeline — must
-//! be byte-identical to the batch reference (`detect` + `match_rules`) and
-//! to `check_with_sink`, for every sample program × seed × engine.
+//! engine behind `home serve`, `replay`, and `check` — must be
+//! byte-identical to the batch reference (`detect` over the whole trace,
+//! then the offline `match_rules`), for every sample program × seed.
 
 use home::core::Session;
 use home::prelude::*;
@@ -24,8 +24,9 @@ fn sample_programs() -> Vec<(String, Program)> {
     out
 }
 
-/// The batch reference for one seed, configured exactly like the pipeline:
-/// HOME instrumentation, static checklist, test topology, random policy.
+/// The batch reference run for one seed, configured exactly like the
+/// pipeline: HOME instrumentation, static checklist, test topology, random
+/// policy.
 fn reference(program: &Program, seed: u64) -> (home::interp::RunResult, Vec<Race>) {
     let checklist = Arc::new(analyze(program).checklist.clone());
     let mut cfg = RunConfig::test(2, seed)
@@ -82,8 +83,8 @@ fn streaming_session_matches_the_batch_reference() {
 
 #[test]
 fn classifier_session_matches_the_batch_reference() {
-    // Classifier mode: races come from an external detector (the batch
-    // pipeline's shape) instead of the in-session streaming detector.
+    // Classifier mode: races come from an external detection pass (the
+    // explorer's shape) instead of the in-session streaming detector.
     for (name, program) in sample_programs() {
         for seed in [1u64, 2] {
             let (result, races) = reference(&program, seed);
@@ -135,35 +136,26 @@ impl ViolationSink for SeedCapture {
 }
 
 #[test]
-fn check_with_sink_matches_the_reference_for_both_engines() {
+fn check_with_sink_matches_the_reference() {
     let seeds = [1u64, 2, 3];
     for (name, program) in sample_programs() {
-        let mut per_engine = Vec::new();
-        for engine in [Engine::Batch, Engine::Stream] {
-            let capture = Arc::new(SeedCapture::default());
-            let options = CheckOptions {
-                seeds: seeds.to_vec(),
-                engine,
-                ..CheckOptions::default()
-            };
-            let report = check_with_sink(&program, &options, capture.clone());
+        let capture = Arc::new(SeedCapture::default());
+        let options = CheckOptions {
+            seeds: seeds.to_vec(),
+            ..CheckOptions::default()
+        };
+        check_with_sink(&program, &options, capture.clone());
 
-            let captured = capture.seeds.lock().expect("capture lock").clone();
-            assert_eq!(captured.len(), seeds.len(), "{name}: one callback per seed");
-            for (seed, violations) in &captured {
-                let (result, races) = reference(&program, *seed);
-                let batch = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
-                assert_eq!(
-                    format!("{violations:?}"),
-                    format!("{:?}", batch.violations),
-                    "{name} seed {seed} ({engine:?}): per-seed violations diverge"
-                );
-            }
-            per_engine.push(report.render());
+        let captured = capture.seeds.lock().expect("capture lock").clone();
+        assert_eq!(captured.len(), seeds.len(), "{name}: one callback per seed");
+        for (seed, violations) in &captured {
+            let (result, races) = reference(&program, *seed);
+            let offline = home::core::match_rules(&result.trace, &races, &result.mpi_errors);
+            assert_eq!(
+                format!("{violations:?}"),
+                format!("{:?}", offline.violations),
+                "{name} seed {seed}: per-seed violations diverge"
+            );
         }
-        assert_eq!(
-            per_engine[0], per_engine[1],
-            "{name}: batch and stream engines must render identical reports"
-        );
     }
 }
